@@ -1,32 +1,68 @@
-"""Backend selection for the hot numeric kernels.
+"""The interaction kernel, written once over ndarrays and once as a
+scalar ``math`` twin.
 
-The compiled extension ``coorbital._kernels`` is used when importable;
-otherwise the pure Python twin ``coorbital._kernels_py`` takes over.
-Set ``COORBITAL_PURE=1`` to force the pure implementation. The two
-backends are bit-identical by construction, so the choice only affects
-speed.
+``curve_scan`` evaluates the curve function on a whole theta1 line with
+numpy; the scalar functions serve root refinement and the public API.
+Both use the same operation order (``s*s*s`` instead of powers, the
+same association everywhere, ``np.abs`` for the sign branch), so every
+scanned node is bit-identical to ``curve_eval`` at that node; the test
+suite checks this rather than assuming that numpy's ``sin``/``cos``
+round like ``math``'s.
+
+No domain checking happens at this level; callers guarantee arguments
+stay inside the open interval (0, 2*pi) and the admissible strip.
 """
 
-import os
+import math
 
-if os.environ.get("COORBITAL_PURE", "").strip() not in ("", "0"):
-    from . import _kernels_py as _impl
+import numpy as np
 
-    BACKEND = "pure"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
+BACKEND = "numpy"
 
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as _impl
+TWO_PI = 2.0 * math.pi
 
-        BACKEND = "pure"
 
-# Raw, unchecked evaluators. The public API in kernel.py and curve.py adds
-# domain validation; inner loops call these directly.
-f_eval = _impl.f_eval
-f_prime = _impl.f_prime
-f_double_prime = _impl.f_double_prime
-curve_eval = _impl.curve_eval
-curve_scan = _impl.curve_scan
+def f_eval(theta):
+    s = math.sin(0.5 * theta)
+    if s < 0.0:
+        s = -s
+    c = 8.0 * (s * s * s)
+    return math.sin(theta) * (1.0 - 1.0 / c)
+
+
+def f_prime(theta):
+    s = math.sin(0.5 * theta)
+    if s < 0.0:
+        s = -s
+    ct = math.cos(theta)
+    return ct + (3.0 + ct) / (16.0 * (s * s * s))
+
+
+def f_double_prime(theta):
+    s = math.sin(0.5 * theta)
+    if s < 0.0:
+        s = -s
+    s2 = s * s
+    return -math.sin(theta) - (11.0 + math.cos(theta)) * math.cos(0.5 * theta) / (32.0 * (s2 * s2))
+
+
+def curve_eval(theta1, theta2):
+    f1 = f_eval(theta1)
+    f12 = f_eval(theta1 + theta2)
+    return f1 * f1 - f12 * f12 - f_eval(theta2) * f_eval(TWO_PI - 2.0 * theta1 - theta2)
+
+
+def _f_array(theta: np.ndarray) -> np.ndarray:
+    s = np.abs(np.sin(0.5 * theta))
+    c = 8.0 * (s * s * s)
+    return np.sin(theta) * (1.0 - 1.0 / c)
+
+
+def curve_scan(theta2: float, lo: float, hi: float, n_cells: int) -> np.ndarray:
+    """Curve-function values at the n_cells+1 uniform nodes
+    ``lo + k*step`` of [lo, hi], with ``step = (hi-lo)/n_cells``."""
+    step = (hi - lo) / n_cells
+    x = lo + np.arange(n_cells + 1) * step
+    f1 = _f_array(x)
+    f12 = _f_array(x + theta2)
+    return f1 * f1 - f12 * f12 - f_eval(theta2) * _f_array(TWO_PI - 2.0 * x - theta2)

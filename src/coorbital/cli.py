@@ -127,8 +127,8 @@ def _trace_width_tol() -> float:
     if raw is None or raw == "":
         return TRACE_WIDTH_TOL
     tol = float(raw)
-    if tol <= 0.0:
-        raise ValueError("COORBITAL_TOL must be a positive number")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("COORBITAL_TOL must be a finite positive number")
     return tol
 
 

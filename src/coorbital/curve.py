@@ -167,10 +167,16 @@ def _line_roots(theta2: float, width_tol: float) -> List[float]:
         return []
     values = backend.curve_scan(theta2, lo, hi, SCAN_CELLS)
     fn = lambda t: backend.curve_eval(t, theta2)
-    return [
-        bracket_root(fn, br, width_tol=width_tol, resid_tol=0.0).root
-        for br in brackets_from_values(lo, hi, values)
-    ]
+    roots = []
+    for br in brackets_from_values(lo, hi, values):
+        res = bracket_root(fn, br, width_tol=width_tol, resid_tol=0.0)
+        if not res.converged:
+            raise ConsistencyError(
+                f"curve root on the theta2={theta2!r} line did not reach width "
+                f"{width_tol!r} in [{br.lo!r}, {br.hi!r}]"
+            )
+        roots.append(res.root)
+    return roots
 
 
 def trace_curve(

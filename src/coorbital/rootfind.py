@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
+import numpy as np
+
 from .exceptions import NoSignChangeError
 
 WIDTH_TOL = 1e-12
@@ -53,7 +55,7 @@ def bracket_root(
     within ``resid_tol`` even if the width target was not reached in
     ``max_iter`` iterations.
     """
-    if width_tol <= 0.0 or resid_tol < 0.0 or max_iter < 1:
+    if not width_tol > 0.0 or not resid_tol >= 0.0 or max_iter < 1:
         raise ValueError("tolerances must be positive and max_iter >= 1")
     lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if not lo < hi or not f_lo * f_hi < 0.0:
@@ -89,7 +91,7 @@ def bracket_root(
 def brackets_from_values(
     lo: float,
     hi: float,
-    values: Sequence[float],
+    values: np.ndarray | Sequence[float],
     resid_tol: float = RESID_TOL,
 ) -> List[Bracket]:
     """Extract sign-change brackets from uniform-grid samples.
@@ -103,23 +105,27 @@ def brackets_from_values(
     two outer neighbors is emitted when they straddle a sign change, so
     the root is reported exactly once.
     """
-    n_cells = len(values) - 1
+    v = np.asarray(values, dtype=np.float64)
+    n_cells = v.size - 1
     if n_cells < 1:
         return []
     step = (hi - lo) / n_cells
-    node_root = [abs(v) < resid_tol for v in values]
+    node_root = np.abs(v) < resid_tol
+    # Only cells that start at a node root or hold a strict sign change
+    # can yield a bracket; the rules below run on those few cells.
+    candidates = np.flatnonzero(node_root[:-1] | (v[:-1] * v[1:] < 0.0))
     out: List[Bracket] = []
-    for i in range(n_cells):
+    # tolist() and float() keep np.float64 out of the brackets, whose
+    # fields end up in printed output.
+    for i in candidates.tolist():
         if node_root[i]:
-            if 0 < i and not node_root[i - 1] and i + 1 <= n_cells and not node_root[i + 1]:
-                v_prev, v_next = values[i - 1], values[i + 1]
+            if 0 < i and not node_root[i - 1] and not node_root[i + 1]:
+                v_prev, v_next = float(v[i - 1]), float(v[i + 1])
                 if v_prev * v_next < 0.0:
                     out.append(Bracket(lo + (i - 1) * step, lo + (i + 1) * step, v_prev, v_next))
             continue
-        if node_root[i + 1]:
-            continue
-        if values[i] * values[i + 1] < 0.0:
-            out.append(Bracket(lo + i * step, lo + (i + 1) * step, values[i], values[i + 1]))
+        if not node_root[i + 1]:
+            out.append(Bracket(lo + i * step, lo + (i + 1) * step, float(v[i]), float(v[i + 1])))
     return out
 
 

@@ -1,64 +1,97 @@
-"""Backend selection and compiled/pure bit-identity."""
+"""The numpy kernel against its scalar twin, and vectorized bracket
+extraction against the plain loop it replaced."""
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coorbital import _kernels_py, backend
+import coorbital
+from coorbital import backend
+from coorbital.curve import EDGE_INSET, SCAN_CELLS
+from coorbital.rootfind import RESID_TOL, Bracket, brackets_from_values
 
-TWO_PI = 2.0 * math.pi
-
-try:
-    from coorbital import _kernels  # compiled extension, optional
-except ImportError:
-    _kernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _kernels is None, reason="compiled extension not built"
-)
+import table_data
 
 
 def test_backend_name_is_known():
-    assert backend.BACKEND in ("compiled", "pure")
+    assert coorbital.BACKEND == backend.BACKEND == "numpy"
 
 
-def test_pure_backend_selected_by_env():
-    env = dict(os.environ, COORBITAL_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from coorbital.backend import BACKEND; print(BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"
+def test_scalar_kernel_values():
+    assert abs(backend.f_eval(math.pi / 2) - 0.6464466094067262) < 1e-14
+    assert abs(backend.f_prime(math.pi) + 7.0 / 8.0) < 1e-12
 
 
-def test_pure_kernel_values():
-    assert abs(_kernels_py.f_eval(math.pi / 2) - 0.6464466094067262) < 1e-14
-    assert abs(_kernels_py.f_prime(math.pi) + 7.0 / 8.0) < 1e-12
+def test_curve_scan_bit_identical_to_scalar_on_reference_grids():
+    # Exact equality, no tolerance: trace output depends on every scanned
+    # node matching curve_eval. A numpy build whose float64 sin/cos round
+    # differently from libm fails here rather than drifting silently.
+    grids = table_data.GRID_D1 + table_data.GRID_D2 + table_data.GRID_D3
+    for theta2 in grids:
+        lo, hi = EDGE_INSET, math.pi - 0.5 * theta2 - EDGE_INSET
+        got = backend.curve_scan(theta2, lo, hi, SCAN_CELLS)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        step = (hi - lo) / SCAN_CELLS
+        want = [backend.curve_eval(lo + k * step, theta2) for k in range(SCAN_CELLS + 1)]
+        bad = [k for k, (a, b) in enumerate(zip(got.tolist(), want)) if a != b]
+        assert len(got) == len(want) and not bad, (
+            f"numpy curve_scan differs from scalar curve_eval at theta2={theta2!r} "
+            f"on {len(bad)} nodes, first k={bad[:1]}: numpy sin/cos do not "
+            f"round like math.sin/math.cos on this platform"
+        )
 
 
-@needs_compiled
-def test_backends_bit_identical_pointwise():
-    for t in np.linspace(1e-5, TWO_PI - 1e-5, 2001):
-        assert _kernels.f_eval(t) == _kernels_py.f_eval(t)
-        assert _kernels.f_prime(t) == _kernels_py.f_prime(t)
-        assert _kernels.f_double_prime(t) == _kernels_py.f_double_prime(t)
+def loop_brackets(lo, hi, values, resid_tol=RESID_TOL):
+    """Reference: the element-by-element loop brackets_from_values replaced."""
+    n_cells = len(values) - 1
+    if n_cells < 1:
+        return []
+    step = (hi - lo) / n_cells
+    node_root = [abs(v) < resid_tol for v in values]
+    out = []
+    for i in range(n_cells):
+        if node_root[i]:
+            if 0 < i and not node_root[i - 1] and i + 1 <= n_cells and not node_root[i + 1]:
+                v_prev, v_next = values[i - 1], values[i + 1]
+                if v_prev * v_next < 0.0:
+                    out.append(Bracket(lo + (i - 1) * step, lo + (i + 1) * step, v_prev, v_next))
+            continue
+        if node_root[i + 1]:
+            continue
+        if values[i] * values[i + 1] < 0.0:
+            out.append(Bracket(lo + i * step, lo + (i + 1) * step, values[i], values[i + 1]))
+    return out
 
 
-@needs_compiled
-def test_backends_bit_identical_curve():
-    for t1, t2 in ((0.7, 0.5), (1.5, 2.0), (0.7, 4.2), (0.9, 0.9)):
-        assert _kernels.curve_eval(t1, t2) == _kernels_py.curve_eval(t1, t2)
+# Exact zeros, values either side of the node-root threshold, and tiny
+# values whose products underflow; runs of them give adjacent root nodes.
+SPECIAL = st.sampled_from(
+    [0.0, -0.0, 5e-11, -5e-11, 1e-10, -1e-10, 2e-10, -2e-10, 1e-200, -1e-200]
+)
+VALUE = st.one_of(SPECIAL, st.floats(-2.0, 2.0, allow_nan=False))
 
 
-@needs_compiled
-def test_backends_bit_identical_scan():
-    lo, hi = 1e-6, math.pi - 0.25 - 1e-6
-    a = _kernels.curve_scan(0.5, lo, hi, 256)
-    b = _kernels_py.curve_scan(0.5, lo, hi, 256)
-    assert list(a) == list(b)
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(VALUE, min_size=0, max_size=40),
+    lo=st.floats(-3.0, 3.0),
+    width=st.floats(1e-3, 5.0),
+)
+def test_vectorized_brackets_match_loop(values, lo, width):
+    hi = lo + width
+    want = loop_brackets(lo, hi, values)
+    for given_values in (values, np.array(values, dtype=np.float64)):
+        got = brackets_from_values(lo, hi, given_values)
+        assert got == want
+        for br in got:
+            assert all(type(x) is float for x in (br.lo, br.hi, br.f_lo, br.f_hi))
+
+
+def test_vectorized_brackets_edge_cases():
+    # root nodes at both ends, a lone interior root node, two adjacent
+    # root nodes, and a plain sign change
+    values = [0.0, 1.0, 1e-12, -1.0, 0.0, 0.0, 1.0, -1.0, 1e-11]
+    got = brackets_from_values(0.0, 8.0, np.array(values))
+    assert got == loop_brackets(0.0, 8.0, values)
+    assert [(b.lo, b.hi) for b in got] == [(1.0, 3.0), (6.0, 7.0)]

@@ -180,6 +180,17 @@ def test_trace_rejects_bad_tolerance(capsys, monkeypatch):
     assert "COORBITAL_TOL" in err
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_trace_rejects_non_finite_tolerance(capsys, monkeypatch, raw):
+    monkeypatch.setenv("COORBITAL_TOL", raw)
+    code, out, err = run_cli(
+        capsys, ["trace", "--region", "D2", "--range", "1.5:2.0", "--steps", "2"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "COORBITAL_TOL" in err
+
+
 def test_verify_pass(capsys, tmp_path):
     path = write_config(tmp_path, [PI / 2] * 4, [1.0, 2.0, 1.0, 2.0])
     code, out, err = run_cli(capsys, ["verify", path])

@@ -17,6 +17,7 @@ from coorbital.curve import (
 from coorbital.catalog import build_catalog
 from coorbital.exceptions import (
     AngleDomainError,
+    ConsistencyError,
     DegenerateDenominatorError,
 )
 from coorbital.kernel import f_eval
@@ -87,6 +88,12 @@ def test_trace_d2_and_d3_single_branch():
     assert abs(pt.theta1 - 1.5073) <= 1e-3
     (pt,) = trace_curve("D3", [4.0])
     assert abs(pt.theta1 - 0.7597) <= 1e-3
+
+
+def test_trace_raises_when_refinement_does_not_converge():
+    # a width below one ulp of theta1 is never reached
+    with pytest.raises(ConsistencyError, match="did not reach width"):
+        trace_curve("D2", [2.0], width_tol=1e-300)
 
 
 def test_trace_rejects_bad_region():

@@ -56,6 +56,10 @@ def test_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         bracket_root(fn, br, resid_tol=-1.0)
     with pytest.raises(ValueError):
+        bracket_root(fn, br, width_tol=math.nan)
+    with pytest.raises(ValueError):
+        bracket_root(fn, br, resid_tol=math.nan)
+    with pytest.raises(ValueError):
         bracket_root(fn, br, max_iter=0)
 
 
