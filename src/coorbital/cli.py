@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -33,11 +33,9 @@ from . import __version__
 from .catalog import CATALOG_TOL, POINT_WIDTH_TOL, build_catalog
 from .curve import TRACE_RESID_GATE, TRACE_WIDTH_TOL, trace_curve
 from .exceptions import (
-    AngleDomainError,
     CatalogMismatchError,
     ConsistencyError,
     CoorbitalError,
-    MassDomainError,
     NoSignChangeError,
     TraceResidualError,
 )
@@ -49,13 +47,21 @@ KERNEL_GRID_DELTA = 1e-4
 VERIFY_THRESHOLD = 1e-8
 VERIFY_RENORM_LIMIT = 1e-9
 
+# exit code per error class, first match wins; other handled errors exit 2
+EXIT_CODES = (
+    (ConsistencyError, 3),
+    (NoSignChangeError, 3),
+    (TraceResidualError, 4),
+    (CatalogMismatchError, 5),
+)
+
 
 @dataclass(frozen=True)
 class RunManifest:
     command: str
     parameters: Dict[str, object]
-    tool_version: str
     tolerance_set: Dict[str, float]
+    tool_version: str = __version__
 
 
 def _fmt(value: object) -> str:
@@ -89,15 +95,6 @@ def _manifest_lines(manifest: RunManifest) -> List[str]:
     return lines
 
 
-def _manifest_dict(manifest: RunManifest) -> Dict[str, object]:
-    return {
-        "command": manifest.command,
-        "parameters": manifest.parameters,
-        "tool_version": manifest.tool_version,
-        "tolerance_set": manifest.tolerance_set,
-    }
-
-
 def _csv_text(manifest: RunManifest, header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     buf = io.StringIO()
     for line in _manifest_lines(manifest):
@@ -110,7 +107,7 @@ def _csv_text(manifest: RunManifest, header: Sequence[str], rows: Sequence[Seque
 
 
 def _json_text(manifest: RunManifest, data: object) -> str:
-    payload = {"manifest": _manifest_dict(manifest), "data": data}
+    payload = {"manifest": asdict(manifest), "data": data}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -120,6 +117,23 @@ def _emit(text: str, out: Optional[str]) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _emit_records(
+    args: argparse.Namespace,
+    manifest: RunManifest,
+    header: Sequence[str],
+    rows: Sequence[Sequence[object]],
+) -> None:
+    """Write one record list as CSV or as JSON objects keyed by header."""
+    if args.format == "json":
+        data = [
+            {key: _num12(v) if isinstance(v, float) else v for key, v in zip(header, row)}
+            for row in rows
+        ]
+        _emit(_json_text(manifest, data), args.out)
+    else:
+        _emit(_csv_text(manifest, header, rows), args.out)
 
 
 def _trace_width_tol() -> float:
@@ -139,7 +153,6 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     manifest = RunManifest(
         command="kernel",
         parameters={"steps": n},
-        tool_version=__version__,
         tolerance_set={"grid_delta": KERNEL_GRID_DELTA},
     )
     step = (TWO_PI - 2.0 * KERNEL_GRID_DELTA) / n
@@ -147,14 +160,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     for k in range(n):
         t = KERNEL_GRID_DELTA + k * step
         rows.append([t, f_eval(t), f_prime(t), f_double_prime(t)])
-    header = ("theta", "f", "f_prime", "f_double_prime")
-    if args.format == "json":
-        data = [
-            {key: _num12(v) for key, v in zip(header, row)} for row in rows
-        ]
-        _emit(_json_text(manifest, data), args.out)
-    else:
-        _emit(_csv_text(manifest, header, rows), args.out)
+    _emit_records(args, manifest, ("theta", "f", "f_prime", "f_double_prime"), rows)
     return 0
 
 
@@ -204,7 +210,6 @@ def cmd_theorem(args: argparse.Namespace) -> int:
     manifest = RunManifest(
         command="theorem",
         parameters={"tag": args.tag},
-        tool_version=__version__,
         tolerance_set={
             "case_width_tol": CASE_WIDTH_TOL,
             "residual_gate": RESIDUAL_GATE,
@@ -262,7 +267,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             "range": args.theta2_range,
             "steps": args.steps,
         },
-        tool_version=__version__,
         tolerance_set={
             "root_width_tol": width_tol,
             "trace_residual_gate": TRACE_RESID_GATE,
@@ -273,23 +277,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
         [p.theta1, p.theta2, p.theta4, p.mass_ratio, p.r_sum, p.r_diff, p.degenerate]
         for p in points
     ]
-    if args.format == "json":
-        data = [
-            {
-                "theta1": _num12(p.theta1),
-                "theta2": _num12(p.theta2),
-                "theta4": _num12(p.theta4),
-                "lambda": _num12(p.mass_ratio),
-                "r_sum": _num12(p.r_sum),
-                "r_diff": _num12(p.r_diff),
-                "degenerate": p.degenerate,
-            }
-            for p in points
-        ]
-        _emit(_json_text(manifest, data), args.out)
-    else:
-        _emit(_csv_text(manifest, header, rows), args.out)
+    _emit_records(args, manifest, header, rows)
     return 0
+
+
+def _finite_floats(values: List[object]) -> Optional[List[float]]:
+    """The entries as floats, or None when any is a boolean, not a JSON
+    number, or not finite as a float."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        return None
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:
+        return None
+    return floats if all(math.isfinite(v) for v in floats) else None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -305,11 +306,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mus_raw = payload.get("mus")
     if not isinstance(thetas_raw, list) or not isinstance(mus_raw, list):
         return bad('input must provide "thetas" and "mus" as lists')
-    try:
-        thetas = [float(t) for t in thetas_raw]
-        mus = [float(m) for m in mus_raw]
-    except (TypeError, ValueError):
-        return bad("thetas and mus must be lists of numbers")
+    thetas = _finite_floats(thetas_raw)
+    mus = _finite_floats(mus_raw)
+    if thetas is None or mus is None:
+        return bad("thetas and mus must be lists of finite numbers")
     if len(thetas) != len(mus) or len(thetas) < 3:
         return bad("need matching lists of at least 3 angles and masses")
     if any(t <= 0.0 for t in thetas) or any(m <= 0.0 for m in mus):
@@ -343,7 +343,6 @@ def cmd_special_points(args: argparse.Namespace) -> int:
     manifest = RunManifest(
         command="special-points",
         parameters={},
-        tool_version=__version__,
         tolerance_set={
             "catalog_tol": CATALOG_TOL,
             "point_width_tol": POINT_WIDTH_TOL,
@@ -361,40 +360,8 @@ def cmd_special_points(args: argparse.Namespace) -> int:
         "theorem_tag",
         "note",
     )
-    rows = [
-        [
-            p.label,
-            p.theta1,
-            p.theta2,
-            p.ref_theta1,
-            p.ref_theta2,
-            p.delta,
-            p.degenerate,
-            p.vanishing,
-            p.theorem_tag,
-            p.note,
-        ]
-        for p in catalog.points
-    ]
-    if args.format == "json":
-        data = [
-            {
-                "label": p.label,
-                "theta1": _num12(p.theta1),
-                "theta2": _num12(p.theta2),
-                "ref_theta1": _num12(p.ref_theta1),
-                "ref_theta2": _num12(p.ref_theta2),
-                "delta": _num12(p.delta),
-                "degenerate": p.degenerate,
-                "vanishing": p.vanishing,
-                "theorem_tag": p.theorem_tag,
-                "note": p.note,
-            }
-            for p in catalog.points
-        ]
-        _emit(_json_text(manifest, data), args.out)
-    else:
-        _emit(_csv_text(manifest, header, rows), args.out)
+    rows = [[getattr(p, key) for key in header] for p in catalog.points]
+    _emit_records(args, manifest, header, rows)
     return 0
 
 
@@ -448,24 +415,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConsistencyError, NoSignChangeError) as exc:
+    except (CoorbitalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TraceResidualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CatalogMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (AngleDomainError, MassDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CoorbitalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for cls, code in EXIT_CODES if isinstance(exc, cls)), 2)
 
 
 if __name__ == "__main__":

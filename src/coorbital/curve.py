@@ -28,20 +28,15 @@ from .exceptions import (
     DegenerateDenominatorError,
     TraceResidualError,
 )
-from .kernel import TWO_PI
-from .rootfind import Bracket, bracket_root, brackets_from_values
+from .kernel import COLLISION_TOL, EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI
+from .rootfind import Bracket, bracket_root, brackets_from_values, converged_root
 
-PI_THIRD = math.pi / 3.0
-FIVE_PI_THIRD = 5.0 * math.pi / 3.0
-
-COLLISION_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
 DENOM_TOL = 1e-12
 TRACE_WIDTH_TOL = 1e-14
 TRACE_RESID_GATE = 1e-10
 SCAN_CELLS = 4000
-EDGE_INSET = 1e-6
 
 BANDS = {
     "D1": (0.0, PI_THIRD),
@@ -244,7 +239,7 @@ def r_diff_pole(
         Bracket(theta2_lo, theta2_hi, f_lo, f_hi),
         width_tol=1e-12,
     )
-    return res.root
+    return converged_root(res, "r_diff pole")
 
 
 def d4_region_count(n: int = 200) -> int:

@@ -16,14 +16,22 @@ from functools import lru_cache
 from typing import Tuple
 
 from . import backend
+from .backend import TWO_PI
 from .exceptions import AngleDomainError, ConsistencyError
-from .rootfind import Bracket, bracket_root
+from .rootfind import Bracket, bracket_root, converged_root
 
-TWO_PI = 2.0 * math.pi
+# angle constants and tolerances shared by the curve, catalog, theorem
+# and model modules
+PI_THIRD = math.pi / 3.0
+FIVE_PI_THIRD = 5.0 * math.pi / 3.0
+# kernel arguments this close to 0 or 2*pi count as collisions
+COLLISION_TOL = 1e-12
+# root scans in theta1 start and stop this far inside the strip
+EDGE_INSET = 1e-6
 
-ZERO_LOW = math.pi / 3.0
+ZERO_LOW = PI_THIRD
 ZERO_MID = math.pi
-ZERO_HIGH = 5.0 * math.pi / 3.0
+ZERO_HIGH = FIVE_PI_THIRD
 
 PRIME_MIN = -7.0 / 8.0
 
@@ -79,7 +87,5 @@ def critical_points() -> KernelProfile:
         Bracket(lo, hi, f_lo, f_hi),
         width_tol=PROFILE_WIDTH_TOL,
     )
-    if not res.converged:
-        raise ConsistencyError("derivative zero did not converge")
-    theta_c = res.root
+    theta_c = converged_root(res, "derivative zero")
     return KernelProfile(theta_c, TWO_PI - theta_c, (ZERO_LOW, ZERO_MID, ZERO_HIGH))

@@ -21,10 +21,9 @@ from .exceptions import (
     MassDomainError,
     RankDeficiencyAbsentError,
 )
-from .kernel import TWO_PI
+from .kernel import COLLISION_TOL, TWO_PI
 
 ANGLE_SUM_TOL = 1e-12
-COLLISION_TOL = 1e-12
 RANK_TOL = 1e-9
 CANONICAL_TOL = 1e-9
 

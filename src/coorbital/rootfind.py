@@ -15,7 +15,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .exceptions import NoSignChangeError
+from .exceptions import ConsistencyError, NoSignChangeError
 
 WIDTH_TOL = 1e-12
 RESID_TOL = 1e-10
@@ -86,6 +86,17 @@ def bracket_root(
         if hi - lo <= width_tol:
             return RootResult(best_x, best_f, iterations, True)
     return RootResult(best_x, best_f, iterations, abs(best_f) <= resid_tol)
+
+
+def converged_root(result: RootResult, what: str) -> float:
+    """The refined root, or ConsistencyError when refinement stopped
+    before its width target and its residual tolerance."""
+    if not result.converged:
+        raise ConsistencyError(
+            f"{what}: root refinement did not converge (residual "
+            f"{result.residual!r} after {result.iterations} iterations)"
+        )
+    return result.root
 
 
 def brackets_from_values(

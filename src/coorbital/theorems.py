@@ -20,9 +20,9 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .exceptions import ConsistencyError
-from .kernel import TWO_PI, f_eval
+from .kernel import FIVE_PI_THIRD, PI_THIRD, TWO_PI, f_eval
 from .model import MassVector, SymmetricConfig, residual_four
-from .rootfind import bracket_root, scan_brackets
+from .rootfind import bracket_root, converged_root, scan_brackets
 
 BRACKET_INSET = 1e-9
 CASE_WIDTH_TOL = 1e-14
@@ -30,9 +30,6 @@ RESIDUAL_GATE = 1e-9
 SQUARE_RESIDUAL_GATE = 1e-12
 GRID_POINTS = 2000
 GRID_INSET = 1e-4
-
-PI_THIRD = math.pi / 3.0
-FIVE_PI_THIRD = 5.0 * math.pi / 3.0
 
 
 def pair_span_condition(theta: float, span: float) -> float:
@@ -107,7 +104,7 @@ def _single_root(fn, lo: float, hi: float, tag: str) -> float:
             f"{tag}: expected exactly one sign change on ({lo}, {hi}), "
             f"found {len(brackets)}"
         )
-    return bracket_root(fn, brackets[0], width_tol=CASE_WIDTH_TOL).root
+    return converged_root(bracket_root(fn, brackets[0], width_tol=CASE_WIDTH_TOL), tag)
 
 
 def _residual_gate(config: SymmetricConfig, sample: MassVector, tag: str,
@@ -193,7 +190,10 @@ def solve_T33() -> CaseSolution:
         )
     rejected = []
     for br in brackets:
-        root = bracket_root(opposite_pair_condition, br, width_tol=CASE_WIDTH_TOL).root
+        root = converged_root(
+            bracket_root(opposite_pair_condition, br, width_tol=CASE_WIDTH_TOL),
+            "T33 mirrored pair",
+        )
         ratio = f_eval(root) / f_eval(math.pi - root)
         if ratio >= 0.0:
             raise ConsistencyError("T33: mirrored-pair root has a positive mass ratio")

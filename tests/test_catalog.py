@@ -1,11 +1,18 @@
 """Special-point catalog: recomputed coordinates and degeneracy flags."""
+import dataclasses
 import math
 
+import pytest
+
+from coorbital import catalog, curve, theorems
 from coorbital.catalog import CATALOG_TOL, REFERENCE, build_catalog
-from coorbital.exceptions import CatalogMismatchError
+from coorbital.curve import r_diff_pole
+from coorbital.exceptions import CatalogMismatchError, ConsistencyError
 from coorbital.theorems import (
+    SOLVERS,
     opposite_pair_condition,
     solve_T32,
+    solve_T33,
     solve_T36,
     solve_T37,
 )
@@ -108,3 +115,42 @@ def test_mismatch_error_type():
 
     assert coorbital.CatalogMismatchError is CatalogMismatchError
     assert issubclass(CatalogMismatchError, CoorbitalError)
+
+
+def _clear_solver_caches():
+    build_catalog.cache_clear()
+    for solver in SOLVERS.values():
+        solver.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    _clear_solver_caches()
+    yield
+    _clear_solver_caches()
+
+
+@pytest.mark.parametrize(
+    "module, call, match",
+    [
+        (catalog, build_catalog, "theta2=pi/3 line"),
+        (catalog, lambda: catalog._edge_limit("C"), "endpoint C"),
+        (theorems, solve_T32, "T32"),
+        (theorems, solve_T33, "T33 mirrored pair"),
+        (curve, r_diff_pole, "r_diff pole"),
+    ],
+    ids=["scan_line", "root_between", "single_root", "mirrored_pair", "r_diff_pole"],
+)
+def test_unconverged_refinement_raises(monkeypatch, fresh_caches, module, call, match):
+    real = module.bracket_root
+
+    def unconverged(fn, bracket, **kwargs):
+        result = real(fn, bracket, **kwargs)
+        # r_diff_pole's inner line scans must still succeed
+        if module is curve and fn.__name__ != "f4_on_branch":
+            return result
+        return dataclasses.replace(result, converged=False)
+
+    monkeypatch.setattr(module, "bracket_root", unconverged)
+    with pytest.raises(ConsistencyError, match=match):
+        call()

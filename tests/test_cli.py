@@ -237,6 +237,29 @@ def test_verify_rejects_nonpositive_entries(capsys, tmp_path):
     assert "positivity violated" in err
 
 
+@pytest.mark.parametrize(
+    "thetas, mus",
+    [
+        ([float("nan"), PI, PI], [1.0, 1.0, 1.0]),
+        ([PI / 2] * 4, [1.0, float("inf"), 1.0, 2.0]),
+        ([PI / 2] * 4, [-float("inf"), 2.0, 1.0, 2.0]),
+        ([PI / 2] * 4, [True, 2.0, 1.0, 2.0]),
+        (["1.5707963267948966", PI / 2, PI / 2, PI / 2], [1.0, 2.0, 1.0, 2.0]),
+        ([PI / 2] * 4, [None, 2.0, 1.0, 2.0]),
+        ([PI / 2] * 4, [[1.0], 2.0, 1.0, 2.0]),
+        ([PI / 2] * 4, [10**400, 2.0, 1.0, 2.0]),
+    ],
+    ids=["nan-angle", "inf-mass", "neg-inf-mass", "bool-mass", "string-angle",
+         "null-mass", "list-mass", "huge-int-mass"],
+)
+def test_verify_rejects_non_finite_and_non_number_entries(capsys, tmp_path, thetas, mus):
+    path = write_config(tmp_path, thetas, mus)
+    code, out, err = run_cli(capsys, ["verify", path])
+    assert code == 2
+    assert out == ""
+    assert "lists of finite numbers" in err
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["verify", str(tmp_path / "absent.json")])
     assert code == 2
@@ -261,6 +284,39 @@ def test_special_points_output(capsys):
     assert float(by_label["A"]["delta"]) < 1e-3
     assert by_label["M"]["vanishing"] == "f(theta4)"
     assert by_label["J"]["degenerate"] == "true"
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--steps", "7"],
+        ["trace", "--region", "D2", "--range", "1.2:2.2", "--steps", "5"],
+        ["special-points"],
+    ],
+    ids=["kernel", "trace", "special-points"],
+)
+def test_csv_and_json_carry_the_same_records(capsys, argv):
+    code, csv_out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    _, header, rows = split_csv(csv_out)
+    records = json.loads(json_out)["data"]
+    assert rows and len(rows) == len(records)
+    for row, record in zip(rows, records):
+        # JSON objects are written with sorted keys
+        assert list(record) == sorted(header)
+        assert row == [_csv_cell(record[key]) for key in header]
 
 
 def test_module_entry_point():
