@@ -294,30 +294,26 @@ def _finite_floats(values: List[object]) -> Optional[List[float]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    def bad(message: str) -> int:
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-
     with open(args.config_file, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
-        return bad('input must be a JSON object with "thetas" and "mus"')
+        raise ValueError('input must be a JSON object with "thetas" and "mus"')
     thetas_raw = payload.get("thetas")
     mus_raw = payload.get("mus")
     if not isinstance(thetas_raw, list) or not isinstance(mus_raw, list):
-        return bad('input must provide "thetas" and "mus" as lists')
+        raise ValueError('input must provide "thetas" and "mus" as lists')
     thetas = _finite_floats(thetas_raw)
     mus = _finite_floats(mus_raw)
     if thetas is None or mus is None:
-        return bad("thetas and mus must be lists of finite numbers")
+        raise ValueError("thetas and mus must be lists of finite numbers")
     if len(thetas) != len(mus) or len(thetas) < 3:
-        return bad("need matching lists of at least 3 angles and masses")
+        raise ValueError("need matching lists of at least 3 angles and masses")
     if any(t <= 0.0 for t in thetas) or any(m <= 0.0 for m in mus):
-        return bad("positivity violated: angles and masses must be strictly positive")
+        raise ValueError("positivity violated: angles and masses must be strictly positive")
     total = math.fsum(thetas)
     deviation = abs(total - TWO_PI)
     if deviation > VERIFY_RENORM_LIMIT:
-        return bad(
+        raise ValueError(
             f"angle sum violated: |sum - 2*pi| = {deviation:.3e} exceeds "
             f"{VERIFY_RENORM_LIMIT:.0e}"
         )

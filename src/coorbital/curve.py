@@ -52,7 +52,7 @@ def _strip_check(theta1: float, theta2: float) -> Tuple[float, float, float]:
     if not 0.0 < theta1 < math.pi:
         raise AngleDomainError("theta1 must lie in (0, pi)")
     theta4 = TWO_PI - 2.0 * theta1 - theta2
-    if theta2 <= 0.0 or theta4 <= 0.0:
+    if not (theta2 > 0.0 and theta4 > 0.0):
         raise AngleDomainError(
             "theta2 and theta4 = 2*pi - 2*theta1 - theta2 must be positive"
         )
@@ -78,7 +78,11 @@ def region_classify(theta1: float, theta2: float) -> str:
     band's sign condition fails.
     """
     theta1, theta2, _ = _strip_check(theta1, theta2)
-    d = backend.f_eval(theta1) - backend.f_eval(theta1 + theta2)
+    return _region(theta2, backend.f_eval(theta1) - backend.f_eval(theta1 + theta2))
+
+
+def _region(theta2: float, d: float) -> str:
+    # band of theta2 plus the sign of d = f(theta1) - f(theta1+theta2)
     near_edge = min(
         abs(theta2 - PI_THIRD), abs(theta2 - math.pi), abs(theta2 - FIVE_PI_THIRD)
     )
@@ -115,7 +119,6 @@ class CurvePoint:
 
 def curve_point(theta1: float, theta2: float) -> CurvePoint:
     """Assemble the CurvePoint record at a strip point (no on-curve gate)."""
-    region = region_classify(theta1, theta2)
     theta1, theta2, theta4 = _strip_check(theta1, theta2)
     f1 = backend.f_eval(theta1)
     f2 = backend.f_eval(theta2)
@@ -130,6 +133,7 @@ def curve_point(theta1: float, theta2: float) -> CurvePoint:
         r_sum = None
         r_diff = None
     degenerate = min(abs(f1), abs(f2), abs(f4), abs(f12)) < DEGENERATE_TOL
+    region = _region(theta2, d)
     return CurvePoint(theta1, theta2, theta4, region, ratio, r_sum, r_diff, degenerate)
 
 

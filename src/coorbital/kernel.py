@@ -33,8 +33,6 @@ ZERO_LOW = PI_THIRD
 ZERO_MID = math.pi
 ZERO_HIGH = FIVE_PI_THIRD
 
-PRIME_MIN = -7.0 / 8.0
-
 PROFILE_WIDTH_TOL = 1e-14
 
 

@@ -48,7 +48,7 @@ class AngleConfig:
         object.__setattr__(self, "thetas", thetas)
         if len(thetas) < 3:
             raise AngleDomainError("ring needs at least 3 gaps")
-        if any(t <= 0.0 for t in thetas):
+        if not all(t > 0.0 for t in thetas):
             raise AngleDomainError("every gap must be strictly positive")
         if abs(math.fsum(thetas) - TWO_PI) > ANGLE_SUM_TOL:
             raise AngleDomainError("gaps must sum to 2*pi")
@@ -65,8 +65,8 @@ class MassVector:
         object.__setattr__(self, "mus", mus)
         if not mus:
             raise MassDomainError("mass vector must be non-empty")
-        if any(m <= 0.0 for m in mus):
-            raise MassDomainError("every mass factor must be strictly positive")
+        if not all(0.0 < m < math.inf for m in mus):
+            raise MassDomainError("every mass factor must be finite and strictly positive")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,22 +97,54 @@ class CaseSolution:
     rejected: Tuple[RejectedBranch, ...]
 
 
-def _single_root(fn, lo: float, hi: float, tag: str) -> float:
+def _roots(fn, lo: float, hi: float, count: int, tag: str) -> List[float]:
+    """The ``count`` roots of ``fn`` on (lo, hi), each refined to
+    CASE_WIDTH_TOL; any other number of sign changes is an error."""
     brackets = scan_brackets(fn, lo + BRACKET_INSET, hi - BRACKET_INSET)
-    if len(brackets) != 1:
+    if len(brackets) != count:
         raise ConsistencyError(
-            f"{tag}: expected exactly one sign change on ({lo}, {hi}), "
+            f"{tag}: expected {count} sign change(s) on ({lo}, {hi}), "
             f"found {len(brackets)}"
         )
-    return converged_root(bracket_root(fn, brackets[0], width_tol=CASE_WIDTH_TOL), tag)
+    return [
+        converged_root(bracket_root(fn, br, width_tol=CASE_WIDTH_TOL), tag)
+        for br in brackets
+    ]
 
 
-def _residual_gate(config: SymmetricConfig, sample: MassVector, tag: str,
-                   gate: float = RESIDUAL_GATE) -> float:
+def _existing_case(
+    tag: str,
+    config: SymmetricConfig,
+    sample: MassVector,
+    equalities: Tuple[str, ...],
+    ratios: Tuple[str, ...],
+    description: str,
+    rejected: Sequence[RejectedBranch] = (),
+    gate: float = RESIDUAL_GATE,
+) -> CaseSolution:
+    """Certify an existing case by the back-substituted residual of its
+    sample masses and assemble its solution record."""
     resid = max(abs(v) for v in residual_four(config, sample))
     if resid >= gate:
         raise ConsistencyError(f"{tag}: back-substitution residual {resid} >= {gate}")
-    return resid
+    condition = MassCondition(equalities, ratios, sample)
+    certificate = Certificate(resid, None, 0, description)
+    return CaseSolution(tag, config, condition, True, certificate, tuple(rejected))
+
+
+def _pair_sum_case(tag: str, theta0: float, span: float) -> CaseSolution:
+    config = SymmetricConfig.from_pair(theta0, span - theta0)
+    ratio = f_eval(config.theta2) / f_eval(config.theta1)
+    if ratio <= 0.0:
+        raise ConsistencyError(f"{tag}: mass ratio is not positive")
+    return _existing_case(
+        tag,
+        config,
+        MassVector((ratio, 1.0, 1.0, ratio)),
+        ("mu1*mu2 == mu3*mu4",),
+        ("mu1/mu3 == f(theta2)/f(theta1)", "mu4/mu2 == f(theta2)/f(theta1)"),
+        "back-substitution with mu = (r, 1, 1, r)",
+    )
 
 
 def _band(lo: float, hi: float) -> np.ndarray:
@@ -145,28 +177,8 @@ def solve_T32() -> CaseSolution:
     mu1/mu3 = mu4/mu2 = f(theta2)/f(theta1) > 0.
     """
     fn = lambda t: pair_span_condition(t, PI_THIRD)
-    theta0 = _single_root(fn, 0.0, PI_THIRD, "T32")
-    config = SymmetricConfig.from_pair(theta0, PI_THIRD - theta0)
-    ratio = f_eval(config.theta2) / f_eval(config.theta1)
-    if ratio <= 0.0:
-        raise ConsistencyError("T32: mass ratio is not positive")
-    sample = MassVector((ratio, 1.0, 1.0, ratio))
-    resid = _residual_gate(config, sample, "T32")
-    condition = MassCondition(
-        equalities=("mu1*mu2 == mu3*mu4",),
-        ratios=(
-            "mu1/mu3 == f(theta2)/f(theta1)",
-            "mu4/mu2 == f(theta2)/f(theta1)",
-        ),
-        sample=sample,
-    )
-    certificate = Certificate(
-        max_residual=resid,
-        grid_min=None,
-        grid_points=0,
-        description="back-substitution with mu = (r, 1, 1, r)",
-    )
-    return CaseSolution("T32", config, condition, True, certificate, ())
+    (theta0,) = _roots(fn, 0.0, PI_THIRD, 1, "T32")
+    return _pair_sum_case("T32", theta0, PI_THIRD)
 
 
 @lru_cache(maxsize=1)
@@ -177,23 +189,8 @@ def solve_T33() -> CaseSolution:
     with mu1 = mu3 and mu2 = mu4. The mirrored-pair branch has two
     roots, both rejected because f(theta1)/f(theta4) < 0 there.
     """
-    config = SymmetricConfig(0.5 * math.pi, 0.5 * math.pi, 0.5 * math.pi)
-    sample = MassVector((1.0, 2.0, 1.0, 2.0))
-    resid = _residual_gate(config, sample, "T33", gate=SQUARE_RESIDUAL_GATE)
-
-    brackets = scan_brackets(
-        opposite_pair_condition, BRACKET_INSET, math.pi - BRACKET_INSET
-    )
-    if len(brackets) != 2:
-        raise ConsistencyError(
-            f"T33: expected two mirrored-pair roots, found {len(brackets)}"
-        )
     rejected = []
-    for br in brackets:
-        root = converged_root(
-            bracket_root(opposite_pair_condition, br, width_tol=CASE_WIDTH_TOL),
-            "T33 mirrored pair",
-        )
+    for root in _roots(opposite_pair_condition, 0.0, math.pi, 2, "T33 mirrored pair"):
         ratio = f_eval(root) / f_eval(math.pi - root)
         if ratio >= 0.0:
             raise ConsistencyError("T33: mirrored-pair root has a positive mass ratio")
@@ -204,18 +201,16 @@ def solve_T33() -> CaseSolution:
                 evidence={"theta1": float(root), "ratio": float(ratio)},
             )
         )
-    condition = MassCondition(
-        equalities=("mu1 == mu3", "mu2 == mu4"),
-        ratios=(),
-        sample=sample,
+    return _existing_case(
+        "T33",
+        SymmetricConfig(0.5 * math.pi, 0.5 * math.pi, 0.5 * math.pi),
+        MassVector((1.0, 2.0, 1.0, 2.0)),
+        ("mu1 == mu3", "mu2 == mu4"),
+        (),
+        "back-substitution with mu = (1, 2, 1, 2)",
+        rejected,
+        gate=SQUARE_RESIDUAL_GATE,
     )
-    certificate = Certificate(
-        max_residual=resid,
-        grid_min=None,
-        grid_points=0,
-        description="back-substitution with mu = (1, 2, 1, 2)",
-    )
-    return CaseSolution("T33", config, condition, True, certificate, tuple(rejected))
 
 
 @lru_cache(maxsize=1)
@@ -226,28 +221,7 @@ def solve_T34() -> CaseSolution:
     root: configuration (theta0, 5*pi/3 - theta0, theta0, pi/3 - theta0)
     with ratio mu1/mu3 = mu4/mu2 = f(theta2)/f(theta1) > 0.
     """
-    theta0 = solve_T32().config.theta1
-    config = SymmetricConfig.from_pair(theta0, FIVE_PI_THIRD - theta0)
-    ratio = f_eval(config.theta2) / f_eval(config.theta1)
-    if ratio <= 0.0:
-        raise ConsistencyError("T34: mass ratio is not positive")
-    sample = MassVector((ratio, 1.0, 1.0, ratio))
-    resid = _residual_gate(config, sample, "T34")
-    condition = MassCondition(
-        equalities=("mu1*mu2 == mu3*mu4",),
-        ratios=(
-            "mu1/mu3 == f(theta2)/f(theta1)",
-            "mu4/mu2 == f(theta2)/f(theta1)",
-        ),
-        sample=sample,
-    )
-    certificate = Certificate(
-        max_residual=resid,
-        grid_min=None,
-        grid_points=0,
-        description="back-substitution with mu = (r, 1, 1, r)",
-    )
-    return CaseSolution("T34", config, condition, True, certificate, ())
+    return _pair_sum_case("T34", solve_T32().config.theta1, FIVE_PI_THIRD)
 
 
 @lru_cache(maxsize=1)
@@ -288,15 +262,11 @@ def solve_T36() -> CaseSolution:
     (mu2 + mu3)*f(theta1) = mu1*f(theta4). The theta2 = pi and
     theta2 = 5*pi/3 placements are rejected on sign grounds.
     """
-    theta0 = _single_root(
-        equal_shift_condition, PI_THIRD, 2.0 * PI_THIRD, "T36"
-    )
+    (theta0,) = _roots(equal_shift_condition, PI_THIRD, 2.0 * PI_THIRD, 1, "T36")
     config = SymmetricConfig.from_pair(theta0, PI_THIRD)
     m = f_eval(config.theta4) / (2.0 * f_eval(config.theta1))
     if m <= 0.0:
         raise ConsistencyError("T36: sample masses are not positive")
-    sample = MassVector((1.0, m, m, 1.0))
-    resid = _residual_gate(config, sample, "T36")
 
     band = _band(0.0, math.pi / 6.0)
     worst_f1 = max(f_eval(t) for t in band)
@@ -316,18 +286,15 @@ def solve_T36() -> CaseSolution:
             },
         ),
     )
-    condition = MassCondition(
-        equalities=("mu1 == mu4",),
-        ratios=("(mu2 + mu3)*f(theta1) == mu1*f(theta4)",),
-        sample=sample,
+    return _existing_case(
+        "T36",
+        config,
+        MassVector((1.0, m, m, 1.0)),
+        ("mu1 == mu4",),
+        ("(mu2 + mu3)*f(theta1) == mu1*f(theta4)",),
+        "back-substitution with mu = (1, m, m, 1)",
+        rejected,
     )
-    certificate = Certificate(
-        max_residual=resid,
-        grid_min=None,
-        grid_points=0,
-        description="back-substitution with mu = (1, m, m, 1)",
-    )
-    return CaseSolution("T36", config, condition, True, certificate, rejected)
 
 
 @lru_cache(maxsize=1)
@@ -339,15 +306,11 @@ def solve_T37() -> CaseSolution:
     (theta0, 5*pi/3 - 2*theta0, theta0, pi/3), and masses satisfy
     mu2 = mu3 with (mu1 + mu4)*f(theta1) = mu2*f(theta2).
     """
-    theta0 = _single_root(
-        mirror_shift_condition, PI_THIRD, 2.0 * PI_THIRD, "T37"
-    )
+    (theta0,) = _roots(mirror_shift_condition, PI_THIRD, 2.0 * PI_THIRD, 1, "T37")
     config = SymmetricConfig.from_pair(theta0, FIVE_PI_THIRD - 2.0 * theta0)
     m = f_eval(config.theta2) / (2.0 * f_eval(config.theta1))
     if m <= 0.0:
         raise ConsistencyError("T37: sample masses are not positive")
-    sample = MassVector((m, 1.0, 1.0, m))
-    resid = _residual_gate(config, sample, "T37")
 
     band = _band(0.0, math.pi / 6.0)
     worst_sum = max(f_eval(PI_THIRD - t) + f_eval(t) for t in band)
@@ -366,18 +329,15 @@ def solve_T37() -> CaseSolution:
             },
         ),
     )
-    condition = MassCondition(
-        equalities=("mu2 == mu3",),
-        ratios=("(mu1 + mu4)*f(theta1) == mu2*f(theta2)",),
-        sample=sample,
+    return _existing_case(
+        "T37",
+        config,
+        MassVector((m, 1.0, 1.0, m)),
+        ("mu2 == mu3",),
+        ("(mu1 + mu4)*f(theta1) == mu2*f(theta2)",),
+        "back-substitution with mu = (m, 1, 1, m)",
+        rejected,
     )
-    certificate = Certificate(
-        max_residual=resid,
-        grid_min=None,
-        grid_points=0,
-        description="back-substitution with mu = (m, 1, 1, m)",
-    )
-    return CaseSolution("T37", config, condition, True, certificate, rejected)
 
 
 SOLVERS: Dict[str, object] = {

@@ -68,6 +68,14 @@ def test_strip_domain_errors():
         curve_eval(1.5, 3.3)  # theta4 closes negative
 
 
+@pytest.mark.parametrize(
+    "fn", [curve_eval, region_classify, curve_point, mass_ratio, mass_ratio_pair]
+)
+def test_strip_rejects_nan_theta2(fn):
+    with pytest.raises(AngleDomainError):
+        fn(1.0, math.nan)
+
+
 def test_region_examples():
     assert region_classify(0.6647, 0.5) == "D1"
     assert region_classify(1.5677, 1.5) == "D2"

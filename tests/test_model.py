@@ -44,11 +44,32 @@ def test_angle_config_validation():
     AngleConfig((math.pi / 2,) * 4)
 
 
+@pytest.mark.parametrize(
+    "thetas",
+    [
+        (math.nan, math.pi / 2, math.pi / 2, math.pi / 2),
+        (math.pi / 2, math.pi / 2, math.pi / 2, math.nan),
+    ],
+)
+def test_angle_config_rejects_nan_gaps(thetas):
+    with pytest.raises(AngleDomainError):
+        AngleConfig(thetas)
+
+
 def test_mass_vector_validation():
     with pytest.raises(MassDomainError):
         MassVector((1.0, 0.0, 1.0, 1.0))
     with pytest.raises(MassDomainError):
         MassVector((1.0, -2.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "mus",
+    [(math.nan, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, math.nan), (math.inf, 1.0, 1.0, 1.0)],
+)
+def test_mass_vector_rejects_non_finite_masses(mus):
+    with pytest.raises(MassDomainError):
+        MassVector(mus)
 
 
 def test_symmetric_config_validation():
