@@ -11,8 +11,6 @@ digits (case angles use 12 decimal places).
 
 Exit codes: 0 success/PASS, 1 verify FAIL, 2 bad input or IO, 3 solver
 consistency failure, 4 trace residual failure, 5 catalog mismatch.
-The COORBITAL_TOL environment variable overrides the curve-trace root
-width tolerance (discouraged; recorded in the manifest).
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
@@ -136,16 +133,6 @@ def _emit_records(
         _emit(_csv_text(manifest, header, rows), args.out)
 
 
-def _trace_width_tol() -> float:
-    raw = os.environ.get("COORBITAL_TOL")
-    if raw is None or raw == "":
-        return TRACE_WIDTH_TOL
-    tol = float(raw)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("COORBITAL_TOL must be a finite positive number")
-    return tol
-
-
 def cmd_kernel(args: argparse.Namespace) -> int:
     n = args.steps
     if n < 2:
@@ -248,6 +235,8 @@ def _parse_range(raw: str) -> tuple:
     if len(parts) != 2:
         raise ValueError(f"range must look like a:b, got {raw!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range bounds must be finite, got {raw!r}")
     if not lo < hi:
         raise ValueError(f"range needs a < b, got {raw!r}")
     return lo, hi
@@ -257,9 +246,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.theta2_range)
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
-    width_tol = _trace_width_tol()
     grid = [float(t) for t in np.linspace(lo, hi, args.steps)]
-    points = trace_curve(args.region, grid, width_tol=width_tol)
+    points = trace_curve(args.region, grid, width_tol=TRACE_WIDTH_TOL)
     manifest = RunManifest(
         command="trace",
         parameters={
@@ -268,7 +256,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             "steps": args.steps,
         },
         tolerance_set={
-            "root_width_tol": width_tol,
+            "root_width_tol": TRACE_WIDTH_TOL,
             "trace_residual_gate": TRACE_RESID_GATE,
         },
     )

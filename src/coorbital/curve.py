@@ -219,7 +219,13 @@ def r_diff_pole(
     width_tol: float = TRACE_WIDTH_TOL,
 ) -> float:
     """theta2 where f(theta4) crosses zero along the middle-band branch,
-    sending r_diff through a pole between the bracketing grid rows."""
+    sending r_diff through a pole between the bracketing grid rows.
+
+    AngleDomainError unless pi/3 < theta2_lo < theta2_hi < pi."""
+    if not PI_THIRD < theta2_lo < theta2_hi < math.pi:
+        raise AngleDomainError(
+            f"pole window ({theta2_lo!r}, {theta2_hi!r}) must lie in (pi/3, pi) with lo < hi"
+        )
 
     def f4_on_branch(theta2: float) -> float:
         roots = [

@@ -200,51 +200,24 @@ class NullSpaceResult:
 def positive_null_masses(M: MassMatrix, rank_tol: float = RANK_TOL) -> NullSpaceResult:
     """Recover admissible masses as positive null vectors of M.
 
-    Rank is decided by Gauss-Jordan elimination with full pivoting,
-    comparing each pivot against rank_tol times the largest pivot. The
-    canonical representative fixes mu2 = mu3 = 1/2; if that vector is
-    not strictly positive, masses is None and only the basis is
-    returned.
+    The rank is 4 less the number of singular values at or below rank_tol
+    times the largest; their right singular vectors form the
+    orthonormal null-space basis. M must be a finite 4x4 array, else
+    MassDomainError. The canonical representative fixes mu2 = mu3 = 1/2;
+    if that vector is not strictly positive, masses is None and only the
+    basis is returned.
     """
-    A = np.array(M.entries, dtype=float, copy=True)
-    n = A.shape[0]
-    col_order = list(range(n))
-    rank = 0
-    first_pivot = 0.0
-    for k in range(n):
-        sub = np.abs(A[k:, k:])
-        i_rel, j_rel = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        pivot = sub[i_rel, j_rel]
-        if k == 0:
-            first_pivot = pivot
-        if pivot == 0.0 or pivot <= rank_tol * first_pivot:
-            break
-        if i_rel:
-            A[[k, k + i_rel]] = A[[k + i_rel, k]]
-        if j_rel:
-            A[:, [k, k + j_rel]] = A[:, [k + j_rel, k]]
-            col_order[k], col_order[k + j_rel] = col_order[k + j_rel], col_order[k]
-        A[k] /= A[k, k]
-        for r in range(n):
-            if r != k and A[r, k] != 0.0:
-                A[r] -= A[r, k] * A[k]
-        rank += 1
-
-    if rank == n:
+    entries = np.asarray(M.entries, dtype=float)
+    # LAPACK's SVD may never return on a non-finite matrix
+    if entries.shape != (4, 4) or not np.all(np.isfinite(entries)):
+        raise MassDomainError("mass matrix must be a finite 4x4 array")
+    _, sing, vt = np.linalg.svd(entries)
+    rank = 4 - int(np.count_nonzero(sing <= rank_tol * sing[0]))
+    if rank == 4:
         raise RankDeficiencyAbsentError(
             "mass matrix has trivial null space; no admissible masses"
         )
-
-    nullity = n - rank
-    raw = np.zeros((n, nullity))
-    for j in range(nullity):
-        v_perm = np.zeros(n)
-        v_perm[rank + j] = 1.0
-        v_perm[:rank] = -A[:rank, rank + j]
-        for pos, col in enumerate(col_order):
-            raw[col, j] = v_perm[pos]
-    q, _ = np.linalg.qr(raw)
-    basis = q[:, :nullity]
+    basis = vt[rank:].T
 
     # canonical representative: coefficients c with (basis @ c)[1:3] = 1/2
     constraint = basis[1:3, :]

@@ -10,6 +10,7 @@ layers near the collision angles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
@@ -99,6 +100,11 @@ def converged_root(result: RootResult, what: str) -> float:
     return result.root
 
 
+def _check_interval(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"scan interval requires finite lo < hi, got [{lo!r}, {hi!r}]")
+
+
 def brackets_from_values(
     lo: float,
     hi: float,
@@ -114,8 +120,10 @@ def brackets_from_values(
     A node with |value| < resid_tol counts as a root itself: both cells
     touching it are suppressed, and a single spanning bracket over its
     two outer neighbors is emitted when they straddle a sign change, so
-    the root is reported exactly once.
+    the root is reported exactly once. ValueError unless lo and hi are
+    finite and lo < hi.
     """
+    _check_interval(lo, hi)
     v = np.asarray(values, dtype=np.float64)
     n_cells = v.size - 1
     if n_cells < 1:
@@ -147,9 +155,9 @@ def scan_brackets(
     n_steps: int = SCAN_STEPS,
 ) -> List[Bracket]:
     """Sample ``fn`` on a uniform grid of n_steps cells and return every
-    sign-change bracket. Empty list when there is no sign change."""
-    if not lo < hi:
-        raise ValueError("scan interval requires lo < hi")
+    sign-change bracket. Empty list when there is no sign change;
+    ValueError unless lo and hi are finite and lo < hi."""
+    _check_interval(lo, hi)
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
     step = (hi - lo) / n_steps

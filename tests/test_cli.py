@@ -161,34 +161,18 @@ def test_trace_rejects_unknown_region():
     assert exc.value.code == 2
 
 
-def test_trace_tolerance_override(capsys, monkeypatch):
-    monkeypatch.setenv("COORBITAL_TOL", "1e-10")
-    code, out, _ = run_cli(
-        capsys, ["trace", "--region", "D2", "--range", "1.5:2.0", "--steps", "2"]
+@pytest.mark.parametrize("raw", ["1.2:inf", "-inf:2"])
+def test_trace_rejects_non_finite_range(raw):
+    # a subprocess, so that a numpy warning on stderr is seen too
+    out = subprocess.run(
+        [sys.executable, "-m", "coorbital", "trace", "--region", "D2",
+         f"--range={raw}", "--steps", "3"],
+        capture_output=True,
+        text=True,
     )
-    assert code == 0
-    manifest, _, _ = split_csv(out)
-    assert "# tol root_width_tol = 1e-10" in manifest
-
-
-def test_trace_rejects_bad_tolerance(capsys, monkeypatch):
-    monkeypatch.setenv("COORBITAL_TOL", "-1")
-    code, _, err = run_cli(
-        capsys, ["trace", "--region", "D2", "--range", "1.5:2.0", "--steps", "2"]
-    )
-    assert code == 2
-    assert "COORBITAL_TOL" in err
-
-
-@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
-def test_trace_rejects_non_finite_tolerance(capsys, monkeypatch, raw):
-    monkeypatch.setenv("COORBITAL_TOL", raw)
-    code, out, err = run_cli(
-        capsys, ["trace", "--region", "D2", "--range", "1.5:2.0", "--steps", "2"]
-    )
-    assert code == 2
-    assert out == ""
-    assert "COORBITAL_TOL" in err
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"error: range bounds must be finite, got {raw!r}\n"
 
 
 def test_verify_pass(capsys, tmp_path):

@@ -138,6 +138,19 @@ def test_traced_points_yield_central_configurations(traced_tables):
             assert max(abs(r) for r in res) < 1e-9
 
 
+def test_null_space_basis_is_orthonormal_kernel(traced_tables):
+    for pts in traced_tables.values():
+        for pt in pts:
+            if pt.degenerate:
+                continue
+            matrix = mass_matrix(SymmetricConfig.from_pair(pt.theta1, pt.theta2))
+            basis = positive_null_masses(matrix).basis
+            M = matrix.entries
+            assert basis.shape == (4, 2)
+            assert np.allclose(basis.T @ basis, np.eye(2), rtol=0.0, atol=1e-12)
+            assert np.max(np.abs(M @ basis)) <= 1e-12 * np.max(np.abs(M))
+
+
 def test_trace_results_sorted(traced_tables):
     for pts in traced_tables.values():
         keys = [(p.theta2, p.theta1) for p in pts]
@@ -200,6 +213,16 @@ def test_r_diff_pole_location():
     assert 2.4 < pole < 2.5
     # the pole is the mirror-case angle where f(theta4) vanishes
     assert abs(pole - solve_T37().config.theta2) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(math.nan, 2.5), (2.4, math.inf), (0.5, 0.6), (2.5, 2.4)],
+    ids=["nan-lo", "inf-hi", "below-band", "reversed"],
+)
+def test_r_diff_pole_rejects_bad_window(window):
+    with pytest.raises(AngleDomainError, match="pole window"):
+        r_diff_pole(*window)
 
 
 def test_d4_band_is_empty():

@@ -1,5 +1,7 @@
 """Ring model: residuals, mass matrix, null-space mass recovery."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,3 +198,32 @@ def test_null_masses_on_traced_points():
 def test_null_masses_raise_off_curve():
     with pytest.raises(RankDeficiencyAbsentError):
         positive_null_masses(mass_matrix(SymmetricConfig.from_pair(0.9, 0.9)))
+
+
+def test_null_masses_nan_rank_tol_keeps_full_rank():
+    with pytest.raises(RankDeficiencyAbsentError):
+        positive_null_masses(
+            mass_matrix(SymmetricConfig.from_pair(0.9, 0.9)), rank_tol=math.nan
+        )
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_null_masses_reject_non_finite_matrix(bad):
+    # a subprocess with a timeout, because the SVD this check guards may
+    # never return on a non-finite matrix
+    code = f"""
+import numpy as np
+from coorbital.exceptions import MassDomainError
+from coorbital.model import MassMatrix, positive_null_masses
+x = float("{bad}")
+M = np.array([[0.0, x, 0.0, 0.0], [-x, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+try:
+    positive_null_masses(MassMatrix(M))
+except MassDomainError:
+    print("MassDomainError")
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "MassDomainError\n"

@@ -101,6 +101,27 @@ def test_scan_rejects_bad_interval():
         scan_brackets(math.sin, 1.0, 2.0, 1)
 
 
+BAD_INTERVALS = pytest.mark.parametrize(
+    "lo, hi",
+    [(1.0, math.nan), (math.nan, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0)],
+    ids=["nan-hi", "nan-lo", "reversed", "empty", "inf-hi", "inf-lo"],
+)
+
+
+@BAD_INTERVALS
+def test_brackets_from_values_rejects_bad_interval(lo, hi):
+    with pytest.raises(ValueError, match="finite lo < hi"):
+        brackets_from_values(lo, hi, [1.0, -1.0])
+
+
+@BAD_INTERVALS
+def test_scan_rejects_bad_interval_before_sampling(lo, hi):
+    calls = []
+    with pytest.raises(ValueError, match="finite lo < hi"):
+        scan_brackets(lambda x: calls.append(x) or math.sin(x), lo, hi, 10)
+    assert calls == []
+
+
 def test_opposite_pair_condition_has_two_roots():
     found = scan_brackets(opposite_pair_condition, 1e-9, math.pi - 1e-9, 2000)
     assert len(found) == 2
