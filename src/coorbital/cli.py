@@ -365,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.set_defaults(func=cmd_kernel)
 
     p_theorem = sub.add_parser("theorem", help="solve one degenerate case")
-    p_theorem.add_argument(
-        "--tag", required=True, choices=("T32", "T33", "T34", "T35", "T36", "T37")
-    )
+    p_theorem.add_argument("--tag", required=True, choices=tuple(SOLVERS))
     p_theorem.add_argument("--format", choices=("csv", "json"), default="json")
     p_theorem.add_argument("--out", default=None)
     p_theorem.set_defaults(func=cmd_theorem)

@@ -28,7 +28,8 @@ from .exceptions import (
     DegenerateDenominatorError,
     TraceResidualError,
 )
-from .kernel import COLLISION_TOL, EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI
+from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI
+from .model import SymmetricConfig, kernel_values
 from .rootfind import Bracket, bracket_root, brackets_from_values, converged_root
 
 BOUNDARY_TOL = 1e-9
@@ -46,28 +47,10 @@ BANDS = {
 }
 
 
-def _strip_check(theta1: float, theta2: float) -> Tuple[float, float, float]:
-    theta1 = float(theta1)
-    theta2 = float(theta2)
-    if not 0.0 < theta1 < math.pi:
-        raise AngleDomainError("theta1 must lie in (0, pi)")
-    theta4 = TWO_PI - 2.0 * theta1 - theta2
-    if not (theta2 > 0.0 and theta4 > 0.0):
-        raise AngleDomainError(
-            "theta2 and theta4 = 2*pi - 2*theta1 - theta2 must be positive"
-        )
-    for arg in (theta1, theta2, theta4, theta1 + theta2):
-        if arg <= COLLISION_TOL or arg >= TWO_PI - COLLISION_TOL:
-            raise AngleDomainError(
-                f"kernel argument {arg!r} within collision tolerance of 0 or 2*pi"
-            )
-    return theta1, theta2, theta4
-
-
 def curve_eval(theta1: float, theta2: float) -> float:
     """Value of the curve function C at a strip point."""
-    theta1, theta2, _ = _strip_check(theta1, theta2)
-    return backend.curve_eval(theta1, theta2)
+    f1, f2, f4, f12 = kernel_values(SymmetricConfig.from_pair(theta1, theta2))
+    return f1 * f1 - f12 * f12 - f2 * f4
 
 
 def region_classify(theta1: float, theta2: float) -> str:
@@ -77,8 +60,7 @@ def region_classify(theta1: float, theta2: float) -> str:
     kernel zero, or f(theta1) = f(theta1+theta2)), OUTSIDE when the
     band's sign condition fails.
     """
-    theta1, theta2, _ = _strip_check(theta1, theta2)
-    return _region(theta2, backend.f_eval(theta1) - backend.f_eval(theta1 + theta2))
+    return curve_point(theta1, theta2).region
 
 
 def _region(theta2: float, d: float) -> str:
@@ -118,12 +100,12 @@ class CurvePoint:
 
 
 def curve_point(theta1: float, theta2: float) -> CurvePoint:
-    """Assemble the CurvePoint record at a strip point (no on-curve gate)."""
-    theta1, theta2, theta4 = _strip_check(theta1, theta2)
-    f1 = backend.f_eval(theta1)
-    f2 = backend.f_eval(theta2)
-    f4 = backend.f_eval(theta4)
-    f12 = backend.f_eval(theta1 + theta2)
+    """Assemble the CurvePoint record at a strip point (no on-curve gate).
+
+    The strip rule is SymmetricConfig's plus kernel_values' collision
+    check: AngleDomainError off the admissible strip."""
+    sym = SymmetricConfig.from_pair(theta1, theta2)
+    f1, f2, f4, f12 = kernel_values(sym)
     d = f1 - f12
     ratio = f2 / d if abs(d) > DENOM_TOL else None
     if abs(f4) > DENOM_TOL:
@@ -133,29 +115,27 @@ def curve_point(theta1: float, theta2: float) -> CurvePoint:
         r_sum = None
         r_diff = None
     degenerate = min(abs(f1), abs(f2), abs(f4), abs(f12)) < DEGENERATE_TOL
-    region = _region(theta2, d)
-    return CurvePoint(theta1, theta2, theta4, region, ratio, r_sum, r_diff, degenerate)
+    region = _region(sym.theta2, d)
+    return CurvePoint(
+        sym.theta1, sym.theta2, sym.theta4, region, ratio, r_sum, r_diff, degenerate
+    )
 
 
 def mass_ratio(theta1: float, theta2: float) -> float:
     """f(theta2)/(f(theta1)-f(theta1+theta2)); positive on the curve
     inside D1, D2, D3."""
-    theta1, theta2, _ = _strip_check(theta1, theta2)
-    d = backend.f_eval(theta1) - backend.f_eval(theta1 + theta2)
-    if abs(d) <= DENOM_TOL:
+    ratio = curve_point(theta1, theta2).mass_ratio
+    if ratio is None:
         raise DegenerateDenominatorError("f(theta1) - f(theta1+theta2) vanishes")
-    return backend.f_eval(theta2) / d
+    return ratio
 
 
 def mass_ratio_pair(theta1: float, theta2: float) -> Tuple[float, float]:
     """(r_sum, r_diff) = (f(theta1)+-f(theta1+theta2))/f(theta4)."""
-    theta1, theta2, theta4 = _strip_check(theta1, theta2)
-    f4 = backend.f_eval(theta4)
-    if abs(f4) <= DENOM_TOL:
+    point = curve_point(theta1, theta2)
+    if point.r_sum is None:
         raise DegenerateDenominatorError("f(theta4) vanishes")
-    f1 = backend.f_eval(theta1)
-    f12 = backend.f_eval(theta1 + theta2)
-    return (f1 + f12) / f4, (f1 - f12) / f4
+    return point.r_sum, point.r_diff
 
 
 def _line_roots(theta2: float, width_tol: float) -> List[float]:
@@ -221,29 +201,28 @@ def r_diff_pole(
     """theta2 where f(theta4) crosses zero along the middle-band branch,
     sending r_diff through a pole between the bracketing grid rows.
 
-    AngleDomainError unless pi/3 < theta2_lo < theta2_hi < pi."""
+    AngleDomainError unless pi/3 < theta2_lo < theta2_hi < pi, each end
+    line holds exactly one branch root and f(theta4) changes sign
+    between them."""
+    window = f"pole window ({theta2_lo!r}, {theta2_hi!r})"
     if not PI_THIRD < theta2_lo < theta2_hi < math.pi:
-        raise AngleDomainError(
-            f"pole window ({theta2_lo!r}, {theta2_hi!r}) must lie in (pi/3, pi) with lo < hi"
-        )
+        raise AngleDomainError(f"{window} must lie in (pi/3, pi) with lo < hi")
 
-    def f4_on_branch(theta2: float) -> float:
-        roots = [
-            r
-            for r in _line_roots(theta2, width_tol)
-            if region_classify(r, theta2) != "OUTSIDE"
-        ]
-        if len(roots) != 1:
-            raise ConsistencyError(
-                f"pole search expected one branch root at theta2={theta2}, "
-                f"found {len(roots)}"
+    def f4_on_branch(theta2: float, error: type = ConsistencyError) -> float:
+        points = [curve_point(r, theta2) for r in _line_roots(theta2, width_tol)]
+        branch = [p for p in points if p.region != "OUTSIDE"]
+        if len(branch) != 1:
+            raise error(
+                f"{window}: expected one branch root at theta2={theta2!r}, "
+                f"found {len(branch)}"
             )
-        return backend.f_eval(TWO_PI - 2.0 * roots[0] - theta2)
+        return backend.f_eval(branch[0].theta4)
 
-    f_lo = f4_on_branch(theta2_lo)
-    f_hi = f4_on_branch(theta2_hi)
+    # a bad window is the caller's input; only interior steps are internal
+    f_lo = f4_on_branch(theta2_lo, AngleDomainError)
+    f_hi = f4_on_branch(theta2_hi, AngleDomainError)
     if not f_lo * f_hi < 0.0:
-        raise ConsistencyError("f(theta4) does not change sign across the window")
+        raise AngleDomainError(f"{window}: f(theta4) does not change sign, no pole inside")
     res = bracket_root(
         f4_on_branch,
         Bracket(theta2_lo, theta2_hi, f_lo, f_hi),

@@ -20,13 +20,13 @@ from .backend import TWO_PI
 from .exceptions import AngleDomainError, ConsistencyError
 from .rootfind import Bracket, bracket_root, converged_root
 
-# angle constants and tolerances shared by the curve, catalog, theorem
-# and model modules
+# shared constants, each comment naming the modules that read it
+# band edges at the kernel zeros (curve, catalog, theorems)
 PI_THIRD = math.pi / 3.0
 FIVE_PI_THIRD = 5.0 * math.pi / 3.0
-# kernel arguments this close to 0 or 2*pi count as collisions
+# kernel arguments this close to 0 or 2*pi count as collisions (model)
 COLLISION_TOL = 1e-12
-# root scans in theta1 start and stop this far inside the strip
+# root scans in theta1 start and stop this far inside the strip (curve, catalog)
 EDGE_INSET = 1e-6
 
 ZERO_LOW = PI_THIRD

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coorbital import backend
 from coorbital.curve import (
     curve_eval,
     curve_point,
@@ -20,9 +23,10 @@ from coorbital.exceptions import (
     ConsistencyError,
     DegenerateDenominatorError,
 )
-from coorbital.kernel import f_eval
+from coorbital.kernel import COLLISION_TOL, f_eval
 from coorbital.model import (
     SymmetricConfig,
+    kernel_values,
     mass_matrix,
     positive_null_masses,
     residual_four,
@@ -74,6 +78,60 @@ def test_strip_domain_errors():
 def test_strip_rejects_nan_theta2(fn):
     with pytest.raises(AngleDomainError):
         fn(1.0, math.nan)
+
+
+STRIP_FNS = (curve_eval, region_classify, curve_point, mass_ratio, mass_ratio_pair)
+# NaN and infinities, theta1 at 0 and pi, theta4 = 0, and kernel
+# arguments on either side of the collision tolerance
+STRIP_EDGES = [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0),
+    (1.0, math.inf), (1.0, -math.inf), (0.0, 1.0), (math.pi, 0.5),
+    (1.0, TWO_PI - 2.0), (0.5, TWO_PI - 1.0),
+    (COLLISION_TOL, 1.0), (2.0 * COLLISION_TOL, 1.0),
+    (1.0, COLLISION_TOL), (1.0, 2.0 * COLLISION_TOL),
+    (1.0, TWO_PI - 2.0 - COLLISION_TOL), (1.0, TWO_PI - 2.0 - 2.0 * COLLISION_TOL),
+    (1.0, math.pi / 3.0), (1.2, TWO_PI - 2.4 - math.pi / 3.0), (math.pi / 2, math.pi / 2),
+    (math.pi / 3.0, 2.0 * math.pi / 3.0),
+]
+
+
+def _assert_one_strip_rule(theta1, theta2):
+    """The curve's point functions accept exactly the points that
+    SymmetricConfig and kernel_values accept, and agree with curve_point."""
+    try:
+        kernel_values(SymmetricConfig.from_pair(theta1, theta2))
+    except AngleDomainError:
+        for fn in STRIP_FNS:
+            with pytest.raises(AngleDomainError):
+                fn(theta1, theta2)
+        return
+    point = curve_point(theta1, theta2)
+    assert curve_eval(theta1, theta2) == backend.curve_eval(theta1, theta2)
+    assert region_classify(theta1, theta2) == point.region
+    if point.mass_ratio is None:
+        with pytest.raises(DegenerateDenominatorError):
+            mass_ratio(theta1, theta2)
+    else:
+        assert mass_ratio(theta1, theta2) == point.mass_ratio
+    if point.r_sum is None:
+        with pytest.raises(DegenerateDenominatorError):
+            mass_ratio_pair(theta1, theta2)
+    else:
+        assert mass_ratio_pair(theta1, theta2) == (point.r_sum, point.r_diff)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(-0.1, math.pi + 0.1),
+    st.floats(-0.1, TWO_PI + 0.1),
+)
+def test_strip_rule_is_kernel_values_rule(theta1, theta2):
+    _assert_one_strip_rule(theta1, theta2)
+
+
+@pytest.mark.parametrize("theta1, theta2", STRIP_EDGES)
+def test_strip_rule_on_edges(theta1, theta2):
+    _assert_one_strip_rule(theta1, theta2)
 
 
 def test_region_examples():
@@ -217,8 +275,16 @@ def test_r_diff_pole_location():
 
 @pytest.mark.parametrize(
     "window",
-    [(math.nan, 2.5), (2.4, math.inf), (0.5, 0.6), (2.5, 2.4)],
-    ids=["nan-lo", "inf-hi", "below-band", "reversed"],
+    [
+        (math.nan, 2.5), (2.4, math.inf), (0.5, 0.6), (2.5, 2.4),
+        (1.5, 1.6), (1.1, 1.2), (2.9, 3.1),
+        (math.pi / 3.0 + 1e-12, 1.2), (3.0, math.pi - 1e-12),
+    ],
+    ids=[
+        "nan-lo", "inf-hi", "below-band", "reversed",
+        "no-pole-mid", "no-pole-low", "no-pole-high",
+        "lo-at-band-edge", "hi-at-band-edge",
+    ],
 )
 def test_r_diff_pole_rejects_bad_window(window):
     with pytest.raises(AngleDomainError, match="pole window"):
