@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -62,14 +62,14 @@ class RunManifest:
 
 
 def _fmt(value: object) -> str:
+    if isinstance(value, float):
+        return format(value, ".12g")
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".12g")
     return str(value)
 
 
@@ -92,45 +92,72 @@ def _manifest_lines(manifest: RunManifest) -> List[str]:
     return lines
 
 
-def _csv_text(manifest: RunManifest, header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    for line in _manifest_lines(manifest):
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
-
-
 def _json_text(manifest: RunManifest, data: object) -> str:
     payload = {"manifest": asdict(manifest), "data": data}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _json_value(value: object) -> str:
+    """One JSON scalar, floats rounded to 12 significant digits; json.dumps
+    writes the rest, NaN and Infinity included."""
+    if isinstance(value, float):
+        value = float(format(value, ".12g"))
+        if math.isfinite(value):
+            return repr(value)
+    return json.dumps(value)
+
+
+@contextmanager
+def _target(out: Optional[str]) -> Iterator[TextIO]:
+    """stdout, or the --out file opened once for the whole run."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_csv(
+    fh: TextIO, manifest: RunManifest, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    for line in _manifest_lines(manifest):
+        fh.write(line + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _write_json(
+    fh: TextIO, manifest: RunManifest, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    """The bytes of json.dumps({"manifest": ..., "data": [objects keyed by
+    header]}, indent=2, sort_keys=True) + "\n", written one object at a time."""
+    columns = [
+        (f"      {json.dumps(header[i])}: ", i)
+        for i in sorted(range(len(header)), key=header.__getitem__)
+    ]
+    fh.write('{\n  "data": [')
+    empty = True
+    for row in rows:
+        fields = ",\n".join([key + _json_value(row[i]) for key, i in columns])
+        fh.write(("\n" if empty else ",\n") + "    {\n" + fields + "\n    }")
+        empty = False
+    fh.write("],\n" if empty else "\n  ],\n")
+    meta = json.dumps(asdict(manifest), indent=2, sort_keys=True)
+    fh.write('  "manifest": ' + meta.replace("\n", "\n  ") + "\n}\n")
 
 
 def _emit_records(
     args: argparse.Namespace,
     manifest: RunManifest,
     header: Sequence[str],
-    rows: Sequence[Sequence[object]],
+    rows: Iterable[Sequence[object]],
 ) -> None:
-    """Write one record list as CSV or as JSON objects keyed by header."""
-    if args.format == "json":
-        data = [
-            {key: _num12(v) if isinstance(v, float) else v for key, v in zip(header, row)}
-            for row in rows
-        ]
-        _emit(_json_text(manifest, data), args.out)
-    else:
-        _emit(_csv_text(manifest, header, rows), args.out)
+    """Stream records as CSV rows or as JSON objects keyed by header,
+    each written as soon as it is produced."""
+    write = _write_json if args.format == "json" else _write_csv
+    with _target(args.out) as fh:
+        write(fh, manifest, header, rows)
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
@@ -143,10 +170,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         tolerance_set={"grid_delta": KERNEL_GRID_DELTA},
     )
     step = (TWO_PI - 2.0 * KERNEL_GRID_DELTA) / n
-    rows = []
-    for k in range(n):
-        t = KERNEL_GRID_DELTA + k * step
-        rows.append([t, f_eval(t), f_prime(t), f_double_prime(t)])
+    thetas = (KERNEL_GRID_DELTA + k * step for k in range(n))
+    rows = ((t, f_eval(t), f_prime(t), f_double_prime(t)) for t in thetas)
     _emit_records(args, manifest, ("theta", "f", "f_prime", "f_double_prime"), rows)
     return 0
 
@@ -203,7 +228,8 @@ def cmd_theorem(args: argparse.Namespace) -> int:
         },
     )
     if args.format == "json":
-        _emit(_json_text(manifest, data), args.out)
+        with _target(args.out) as fh:
+            fh.write(_json_text(manifest, data))
         return 0
     rows: List[List[object]] = [["tag", data["tag"]], ["exists", data["exists"]]]
     if data["config"] is not None:
@@ -226,7 +252,7 @@ def cmd_theorem(args: argparse.Namespace) -> int:
         rows.append([f"rejected_{i}_reason", branch["reason"]])
         evidence = "; ".join(f"{k} = {_fmt(v)}" for k, v in branch["evidence"].items())
         rows.append([f"rejected_{i}_evidence", evidence])
-    _emit(_csv_text(manifest, ("field", "value"), rows), args.out)
+    _emit_records(args, manifest, ("field", "value"), rows)
     return 0
 
 
@@ -261,10 +287,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
         },
     )
     header = ("theta1", "theta2", "theta4", "lambda", "r_sum", "r_diff", "degenerate")
-    rows = [
-        [p.theta1, p.theta2, p.theta4, p.mass_ratio, p.r_sum, p.r_diff, p.degenerate]
+    rows = (
+        (p.theta1, p.theta2, p.theta4, p.mass_ratio, p.r_sum, p.r_diff, p.degenerate)
         for p in points
-    ]
+    )
     _emit_records(args, manifest, header, rows)
     return 0
 
@@ -344,7 +370,7 @@ def cmd_special_points(args: argparse.Namespace) -> int:
         "theorem_tag",
         "note",
     )
-    rows = [[getattr(p, key) for key in header] for p in catalog.points]
+    rows = ([getattr(p, key) for key in header] for p in catalog.points)
     _emit_records(args, manifest, header, rows)
     return 0
 

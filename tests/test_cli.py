@@ -1,13 +1,25 @@
 """CLI surface: formats, manifests, exit codes, determinism."""
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coorbital import cli
 from coorbital.cli import main
+from coorbital.exceptions import TraceResidualError
 
 import table_data
 
@@ -275,6 +287,8 @@ def _csv_cell(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -301,6 +315,135 @@ def test_csv_and_json_carry_the_same_records(capsys, argv):
         # JSON objects are written with sorted keys
         assert list(record) == sorted(header)
         assert row == [_csv_cell(record[key]) for key in header]
+
+
+# Reference emitter: every row formatted into one string, CSV through a
+# StringIO and JSON through json.dumps over dict rows. The streaming
+# writer must reproduce these bytes exactly.
+def _reference_text(fmt, manifest, header, rows):
+    if fmt == "json":
+        data = [
+            {key: float(format(v, ".12g")) if isinstance(v, float) else v
+             for key, v in zip(header, row)}
+            for row in rows
+        ]
+        payload = {"manifest": asdict(manifest), "data": data}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    for line in cli._manifest_lines(manifest):
+        buf.write(line + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(header))
+    for row in rows:
+        writer.writerow([_csv_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def _streamed_bytes(fmt, manifest, header, rows, out=None):
+    args = argparse.Namespace(format=fmt, out=out)
+    if out is None:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli._emit_records(args, manifest, header, iter(rows))
+        return buf.getvalue().encode("utf-8")
+    cli._emit_records(args, manifest, header, iter(rows))
+    return Path(out).read_bytes()
+
+
+MANIFEST = cli.RunManifest(
+    command="records",
+    parameters={"steps": 3, "range": "1.2:2.2", "région": "D2", "empty": None},
+    tolerance_set={"width_tol": 1e-14, "gate": 1e-10},
+)
+
+ODD_FLOATS = [0.0, -0.0, 5e-324, 1e17, 1e-5, math.nan, math.inf, -math.inf]
+CELL_TEXT = st.text(alphabet=st.sampled_from(list(',"\n\r ;|aZ0é€日')) | st.characters())
+CELLS = st.one_of(
+    st.sampled_from(ODD_FLOATS),
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    CELL_TEXT,
+)
+NP_INT_CELLS = CELLS | st.integers(-2**63, 2**63 - 1).map(np.int64)
+
+
+@st.composite
+def records(draw):
+    keys = st.text(alphabet=st.sampled_from(list("abz_θλé日,\" 1")), min_size=1, max_size=6)
+    header = tuple(draw(st.lists(keys, min_size=1, max_size=6, unique=True)))
+    # np.int64 makes most JSON examples a TypeError, so only half may hold it
+    cells = NP_INT_CELLS if draw(st.booleans()) else CELLS
+    rows = draw(st.lists(st.tuples(*[cells] * len(header)), max_size=20))
+    return header, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(records(), st.sampled_from(["csv", "json"]))
+def test_streamed_records_equal_the_built_text(record, fmt):
+    header, rows = record
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / f"records.{fmt}")
+        try:
+            expected = _reference_text(fmt, MANIFEST, header, rows).encode("utf-8")
+        except TypeError:
+            # json cannot encode np.int64; the streaming writer refuses it too
+            for target in (None, out):
+                with pytest.raises(TypeError):
+                    _streamed_bytes(fmt, MANIFEST, header, rows, target)
+            return
+        assert _streamed_bytes(fmt, MANIFEST, header, rows) == expected
+        assert _streamed_bytes(fmt, MANIFEST, header, rows, out) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "rows",
+    [[], [(1.5, None, True, "a,b")]],
+    ids=["no-rows", "one-row"],
+)
+def test_streamed_records_edge_cases(tmp_path, fmt, rows):
+    header = ("theta", "r_sum", "degenerate", "note")
+    expected = _reference_text(fmt, MANIFEST, header, rows).encode("utf-8")
+    assert _streamed_bytes(fmt, MANIFEST, header, rows) == expected
+    out = str(tmp_path / f"records.{fmt}")
+    assert _streamed_bytes(fmt, MANIFEST, header, rows, out) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_table_memory_does_not_grow_with_rows(tmp_path, fmt):
+    # 20000 rows held at once take several MB; streamed, only one row is live
+    out = tmp_path / f"kernel.{fmt}"
+    tracemalloc.start()
+    try:
+        assert main(["kernel", "--steps", "20000", "--format", fmt, "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_failure_writes_no_output(capsys, monkeypatch, tmp_path, fmt):
+    def fail(*args, **kwargs):
+        raise TraceResidualError("curve residual over the gate")
+
+    monkeypatch.setattr(cli, "trace_curve", fail)
+    argv = ["trace", "--region", "D2", "--range", "1.2:2.2", "--steps", "5", "--format", fmt]
+    out = tmp_path / f"trace.{fmt}"
+    code, stdout, err = run_cli(capsys, argv + ["--out", str(out)])
+    assert (code, stdout, err) == (4, "", "error: curve residual over the gate\n")
+    assert not out.exists()
+    code, stdout, _ = run_cli(capsys, argv)
+    assert (code, stdout) == (4, "")
+
+
+def test_out_into_missing_directory_is_an_io_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = run_cli(capsys, ["kernel", "--steps", "7", "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
 def test_module_entry_point():
