@@ -26,6 +26,8 @@ from .kernel import COLLISION_TOL, TWO_PI
 ANGLE_SUM_TOL = 1e-12
 RANK_TOL = 1e-9
 CANONICAL_TOL = 1e-9
+# kernel terms per block of residual_general rows; bounds its temporaries
+_BLOCK_TERMS = 8192
 
 
 def _kernel_at(separation: float) -> float:
@@ -119,21 +121,39 @@ def residual_general(config: AngleConfig, masses: MassVector) -> List[float]:
     Row i sums mu_{i+j} * f(theta_i + ... + theta_{i+j-1}) over
     j = 1..N-1 with cyclic indexing; a central configuration makes
     every row vanish.
+
+    Rows are evaluated with numpy in blocks of about _BLOCK_TERMS terms,
+    so memory stays bounded by the block rather than by N^2. Both the
+    partial angle sums and the row sums accumulate left to right, so
+    every row is bit-identical to the scalar sum taken term by term.
+    A separation within COLLISION_TOL of 0 or 2*pi raises
+    AngleDomainError, naming the first one in row-major order.
     """
     n = len(config.thetas)
     if len(masses.mus) != n:
         raise MassDomainError("angle and mass lists must share a length")
-    thetas = config.thetas
-    mus = masses.mus
-    rows: List[float] = []
-    for i in range(n):
-        acc = 0.0
-        partial = 0.0
-        for j in range(1, n):
-            partial += thetas[(i + j - 1) % n]
-            acc += mus[(i + j) % n] * _kernel_at(partial)
-        rows.append(acc)
-    return rows
+    # row i reads thetas[i .. i+n-2] and mus[i+1 .. i+n-1], cyclically
+    windows = np.lib.stride_tricks.sliding_window_view
+    th = windows(np.array(config.thetas * 2), n - 1)[:n]
+    mu = windows(np.array(masses.mus * 2), n - 1)[1 : n + 1]
+    rows = np.empty(n)
+    step = max(1, _BLOCK_TERMS // (n - 1))
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        # cumsum accumulates sequentially, like the scalar +=; np.sum
+        # would sum pairwise and change the last bits
+        partial = np.cumsum(th[i0:i1], axis=1)
+        # gaps are positive, so partial sums never decrease along a row:
+        # a row holds a collision separation exactly when its first or
+        # last entry is one
+        bad = (partial[:, 0] <= COLLISION_TOL) | (partial[:, -1] >= TWO_PI - COLLISION_TOL)
+        if bad.any():
+            row = partial[np.argmax(bad)]
+            hit = (row <= COLLISION_TOL) | (row >= TWO_PI - COLLISION_TOL)
+            _kernel_at(float(row[np.argmax(hit)]))  # raises
+        terms = mu[i0:i1] * backend._f_array(partial)
+        rows[i0:i1] = np.cumsum(terms, axis=1)[:, -1]
+    return rows.tolist()
 
 
 def residual_four(sym: SymmetricConfig, masses: MassVector) -> List[float]:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import tempfile
@@ -217,6 +218,26 @@ def test_verify_renormalizes_small_angle_drift(capsys, tmp_path):
     assert code == 0
     assert "renormalizing" in err
     assert "PASS" in out
+
+
+def _ring9():
+    rng = random.Random(9)
+    gaps = [1.0 + 0.2 * (2.0 * rng.random() - 1.0) for _ in range(9)]
+    scale = 2.0 * PI / math.fsum(gaps)
+    return [g * scale for g in gaps], [rng.uniform(1e-3, 1e3) for _ in range(9)]
+
+
+@pytest.mark.parametrize(
+    "thetas, mus",
+    [_ring9(), ([PI / 2 + 5e-10, PI / 2, PI / 2, PI / 2], [1.0, 2.0, 1.0, 2.0])],
+    ids=["jittered-9", "renormalized-4"],
+)
+def test_verify_output_same_for_every_rotation_of_the_ring(capsys, tmp_path, thetas, mus):
+    # relabelling the ring cyclically rotates the residual rows bit for bit
+    want = run_cli(capsys, ["verify", write_config(tmp_path, thetas, mus)])
+    for k in range(1, len(thetas)):
+        path = write_config(tmp_path, thetas[k:] + thetas[:k], mus[k:] + mus[:k], f"rot{k}.json")
+        assert run_cli(capsys, ["verify", path]) == want
 
 
 def test_verify_rejects_bad_angle_sum(capsys, tmp_path):

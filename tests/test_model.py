@@ -1,17 +1,23 @@
 """Ring model: residuals, mass matrix, null-space mass recovery."""
 import math
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coorbital import backend
 from coorbital.curve import curve_eval, trace_curve
 from coorbital.exceptions import (
     AngleDomainError,
     MassDomainError,
     RankDeficiencyAbsentError,
 )
+from coorbital.kernel import COLLISION_TOL
 from coorbital.model import (
     AngleConfig,
     MassVector,
@@ -112,6 +118,137 @@ def test_length_mismatch_rejected():
     cfg = AngleConfig((TWO_PI / 3,) * 3)
     with pytest.raises(MassDomainError):
         residual_general(cfg, MassVector((1.0, 1.0, 1.0, 1.0)))
+
+
+def _residual_reference(config, masses):
+    """Reference: the term-by-term double loop residual_general replaced."""
+    n = len(config.thetas)
+    thetas = config.thetas
+    mus = masses.mus
+    rows = []
+    for i in range(n):
+        acc = 0.0
+        partial = 0.0
+        for j in range(1, n):
+            partial += thetas[(i + j - 1) % n]
+            if partial <= COLLISION_TOL or partial >= TWO_PI - COLLISION_TOL:
+                raise AngleDomainError(
+                    f"separation {partial!r} within collision tolerance of 0 or 2*pi"
+                )
+            acc += mus[(i + j) % n] * backend.f_eval(partial)
+        rows.append(acc)
+    return rows
+
+
+def _assert_rows_match_reference(config, masses):
+    # Exact equality, no tolerance: verify's output bytes rest on every row
+    # matching the scalar loop. A numpy build whose float64 sin/cos round
+    # differently from libm fails here rather than drifting silently.
+    got = residual_general(config, masses)
+    want = _residual_reference(config, masses)
+    bad = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(got) == len(want) and not bad, (
+        f"residual_general differs from the scalar loop on {len(bad)} of "
+        f"{len(want)} rows, first i={bad[:1]}: numpy sin/cos do not round like "
+        f"math.sin/math.cos on this platform, or the row sums changed order"
+    )
+
+
+def _closed_ring(weights):
+    """Gaps proportional to weights, rescaled to 2*pi, the last one closing
+    the ring exactly."""
+    scale = TWO_PI / math.fsum(weights)
+    gaps = [w * scale for w in weights[:-1]]
+    gaps.append(TWO_PI - math.fsum(gaps))
+    return AngleConfig(gaps)
+
+
+@st.composite
+def rings(draw, max_n=64):
+    n = draw(st.integers(3, max_n))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    mus = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return _closed_ring(weights), MassVector(mus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring=rings())
+def test_residual_rows_bit_identical_to_scalar_loop(ring):
+    _assert_rows_match_reference(*ring)
+
+
+def _jittered_ring(n, seed):
+    # built the way the benchmark's verify-ring workload builds its rings
+    rng = random.Random(seed)
+    return _closed_ring([1.0 + 0.2 * (2.0 * rng.random() - 1.0) for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [AngleConfig((TWO_PI / 512,) * 512), AngleConfig((TWO_PI / 1024,) * 1024),
+     _jittered_ring(1024, 8)],
+    ids=["regular-512", "regular-1024", "jittered-1024"],
+)
+def test_large_ring_residuals_bit_identical_to_scalar_loop(config):
+    _assert_rows_match_reference(config, MassVector((1.0,) * len(config.thetas)))
+
+
+@pytest.mark.parametrize(
+    "thetas",
+    [
+        (1e-13, 1.0, 2.0, TWO_PI - 3.0 - 1e-13),
+        (1.0, 2.0, 1e-13, 1.5, TWO_PI - 4.5 - 1e-13),
+        (2.0, 2.0, TWO_PI - 4.0 - 5e-13, 5e-13),
+        (5e-13, 3.0, 5e-13, TWO_PI - 3.0 - 1e-12),
+        (1.0, 1.0, 1.0, 1.0, 1.0, TWO_PI - 5.0 - 4e-13, 4e-13),
+    ],
+    ids=["first-gap", "middle-gap", "last-separation", "two-gaps", "closing-gap"],
+)
+def test_residual_collision_error_matches_scalar_loop(thetas):
+    config = AngleConfig(thetas)
+    masses = MassVector((1.0,) * len(thetas))
+    with pytest.raises(AngleDomainError) as want:
+        _residual_reference(config, masses)
+    with pytest.raises(AngleDomainError) as got:
+        residual_general(config, masses)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=rings(max_n=40), k=st.integers(0, 39))
+def test_residual_rotates_with_the_ring(ring, k):
+    config, masses = ring
+    n = len(config.thetas)
+    k %= n
+    rotated = residual_general(
+        AngleConfig(config.thetas[k:] + config.thetas[:k]),
+        MassVector(masses.mus[k:] + masses.mus[:k]),
+    )
+    rows = residual_general(config, masses)
+    assert rotated == rows[k:] + rows[:k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=rings(max_n=40), k=st.integers(-20, 20))
+def test_residual_scales_exactly_with_power_of_two_masses(ring, k):
+    config, masses = ring
+    scale = 2.0**k
+    scaled = residual_general(config, MassVector(tuple(scale * m for m in masses.mus)))
+    assert scaled == [scale * r for r in residual_general(config, masses)]
+
+
+def test_residual_memory_bounded_by_block_not_ring_size():
+    # a float64 temporary of N^2 terms would take 32 MB at N = 2048
+    n = 2048
+    config = AngleConfig((TWO_PI / n,) * n)
+    masses = MassVector((1.0,) * n)
+    tracemalloc.start()
+    try:
+        residual_general(config, masses)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_four_body_evaluators_agree():
