@@ -1,16 +1,22 @@
-"""The interaction kernel, written once over ndarrays and once as a
-scalar ``math`` twin.
+"""The interaction kernel f and its derivatives f' and f'', written
+once over ndarrays and once as a scalar ``math`` twin.
 
 ``curve_scan`` evaluates the curve function on a whole theta1 line with
-numpy; the scalar functions serve root refinement and the public API.
-Both use the same operation order (``s*s*s`` instead of powers, the
-same association everywhere, ``np.abs`` for the sign branch), so every
-scanned node is bit-identical to ``curve_eval`` at that node; the test
-suite checks this rather than assuming that numpy's ``sin``/``cos``
-round like ``math``'s.
+numpy, ``kernel`` tabulates f, f' and f'' on array blocks, and
+``residual_general`` sums f over ring rows; the scalar functions serve
+root refinement and scalar calls of the public API. Both use the same
+operation order (``s*s*s`` instead of powers, the same association
+everywhere, ``np.abs`` for the sign branch), so every array entry is
+bit-identical to the scalar function at that node; the test suite
+checks this rather than assuming that numpy's ``sin``/``cos`` round
+like ``math``'s.
 
 No domain checking happens at this level; callers guarantee arguments
 stay inside the open interval (0, 2*pi) and the admissible strip.
+Below theta ~ 1e-80 a denominator underflows to zero; where Python's
+division would raise ZeroDivisionError, the scalar functions return the
+infinity that numpy's division gives (the numerators are positive
+there). The ``try`` costs nothing on the normal path.
 """
 
 import math
@@ -27,7 +33,10 @@ def f_eval(theta):
     if s < 0.0:
         s = -s
     c = 8.0 * (s * s * s)
-    return math.sin(theta) * (1.0 - 1.0 / c)
+    try:
+        return math.sin(theta) * (1.0 - 1.0 / c)
+    except ZeroDivisionError:
+        return math.sin(theta) * (1.0 - math.inf)
 
 
 def f_prime(theta):
@@ -35,7 +44,10 @@ def f_prime(theta):
     if s < 0.0:
         s = -s
     ct = math.cos(theta)
-    return ct + (3.0 + ct) / (16.0 * (s * s * s))
+    try:
+        return ct + (3.0 + ct) / (16.0 * (s * s * s))
+    except ZeroDivisionError:
+        return ct + math.inf
 
 
 def f_double_prime(theta):
@@ -43,7 +55,10 @@ def f_double_prime(theta):
     if s < 0.0:
         s = -s
     s2 = s * s
-    return -math.sin(theta) - (11.0 + math.cos(theta)) * math.cos(0.5 * theta) / (32.0 * (s2 * s2))
+    try:
+        return -math.sin(theta) - (11.0 + math.cos(theta)) * math.cos(0.5 * theta) / (32.0 * (s2 * s2))
+    except ZeroDivisionError:
+        return -math.sin(theta) - math.inf
 
 
 def curve_eval(theta1, theta2):
@@ -56,6 +71,18 @@ def _f_array(theta: np.ndarray) -> np.ndarray:
     s = np.abs(np.sin(0.5 * theta))
     c = 8.0 * (s * s * s)
     return np.sin(theta) * (1.0 - 1.0 / c)
+
+
+def _f_prime_array(theta: np.ndarray) -> np.ndarray:
+    s = np.abs(np.sin(0.5 * theta))
+    ct = np.cos(theta)
+    return ct + (3.0 + ct) / (16.0 * (s * s * s))
+
+
+def _f_double_prime_array(theta: np.ndarray) -> np.ndarray:
+    s = np.abs(np.sin(0.5 * theta))
+    s2 = s * s
+    return -np.sin(theta) - (11.0 + np.cos(theta)) * np.cos(0.5 * theta) / (32.0 * (s2 * s2))
 
 
 def curve_scan(theta2: float, lo: float, hi: float, n_cells: int) -> np.ndarray:

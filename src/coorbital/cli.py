@@ -41,6 +41,8 @@ from .model import ANGLE_SUM_TOL, AngleConfig, MassVector, residual_general
 from .theorems import CASE_WIDTH_TOL, RESIDUAL_GATE, SOLVERS
 
 KERNEL_GRID_DELTA = 1e-4
+# kernel table rows evaluated per numpy call; bounds the live row block
+_KERNEL_BLOCK = 1024
 VERIFY_THRESHOLD = 1e-8
 VERIFY_RENORM_LIMIT = 1e-9
 
@@ -99,9 +101,16 @@ def _json_text(manifest: RunManifest, data: object) -> str:
 
 def _json_value(value: object) -> str:
     """One JSON scalar, floats rounded to 12 significant digits; json.dumps
-    writes the rest, NaN and Infinity included."""
+    writes the rest, NaN and Infinity included.
+
+    A float's 12-digit text outside exponent notation is already the
+    shortest repr of the float it reads as, but for a missing ".0", so
+    only exponent forms, inf and nan take the float round trip."""
     if isinstance(value, float):
-        value = float(format(value, ".12g"))
+        text = format(value, ".12g")
+        if "e" not in text and "n" not in text:
+            return text if "." in text else text + ".0"
+        value = float(text)
         if math.isfinite(value):
             return repr(value)
     return json.dumps(value)
@@ -160,6 +169,19 @@ def _emit_records(
         write(fh, manifest, header, rows)
 
 
+def _kernel_rows(n: int, step: float) -> Iterator[tuple]:
+    """Rows (theta, f, f', f'') at the nodes KERNEL_GRID_DELTA + k*step,
+    k < n, evaluated on numpy blocks of _KERNEL_BLOCK nodes."""
+    for start in range(0, n, _KERNEL_BLOCK):
+        theta = KERNEL_GRID_DELTA + np.arange(start, min(start + _KERNEL_BLOCK, n)) * step
+        yield from zip(
+            theta.tolist(),
+            f_eval(theta).tolist(),
+            f_prime(theta).tolist(),
+            f_double_prime(theta).tolist(),
+        )
+
+
 def cmd_kernel(args: argparse.Namespace) -> int:
     n = args.steps
     if n < 2:
@@ -170,8 +192,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         tolerance_set={"grid_delta": KERNEL_GRID_DELTA},
     )
     step = (TWO_PI - 2.0 * KERNEL_GRID_DELTA) / n
-    thetas = (KERNEL_GRID_DELTA + k * step for k in range(n))
-    rows = ((t, f_eval(t), f_prime(t), f_double_prime(t)) for t in thetas)
+    rows = _kernel_rows(n, step)
     _emit_records(args, manifest, ("theta", "f", "f_prime", "f_double_prime"), rows)
     return 0
 

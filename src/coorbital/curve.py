@@ -28,7 +28,7 @@ from .exceptions import (
     DegenerateDenominatorError,
     TraceResidualError,
 )
-from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI
+from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI, is_real_number
 from .model import SymmetricConfig, kernel_values
 from .rootfind import Bracket, bracket_root, brackets_from_values, converged_root
 
@@ -174,6 +174,8 @@ def trace_curve(
     band_lo, band_hi = BANDS[region]
     points: List[CurvePoint] = []
     for raw in theta2_grid:
+        if not is_real_number(raw):
+            raise AngleDomainError(f"theta2 {raw!r} is not a real number")
         theta2 = float(raw)
         if not band_lo < theta2 < band_hi:
             raise AngleDomainError(

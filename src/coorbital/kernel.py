@@ -6,6 +6,13 @@ theta. It is defined on the open interval (0, 2*pi), diverges like
 -1/theta^2 at both collision endpoints, and vanishes at pi/3, pi and
 5*pi/3. Its derivative attains the global minimum value -7/8 at pi and
 has exactly two interior zeros, placed symmetrically about pi.
+
+``f_eval``, ``f_prime`` and ``f_double_prime`` take one angle and
+return a float, or an ndarray of angles (ndim >= 1) and return the
+float64 array of values, evaluated by the numpy twins in ``backend``
+after one domain check of the whole array. Booleans, strings and
+numpy values that are not integers or floats are refused, although
+``float()`` would read them as numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Callable, Tuple, Union
+
+import numpy as np
 
 from . import backend
 from .backend import TWO_PI
@@ -35,27 +44,72 @@ ZERO_HIGH = FIVE_PI_THIRD
 
 PROFILE_WIDTH_TOL = 1e-14
 
+# one angle, or an ndarray of them
+Angles = Union[float, np.ndarray]
 
-def _check_domain(theta: float) -> float:
+
+def is_real_number(value: object) -> bool:
+    """False for booleans, strings and numpy values whose dtype is not
+    an integer or float type: ``float()`` would read these as numbers."""
+    dtype = getattr(value, "dtype", None)
+    if dtype is not None:
+        return dtype.kind in "iuf"
+    return not isinstance(value, (bool, str, bytes))
+
+
+def _domain_error(theta: float, where: str = "") -> AngleDomainError:
+    return AngleDomainError(f"angle {theta!r}{where} outside open interval (0, 2*pi)")
+
+
+def _evaluate(theta: Angles, scalar: Callable, array: Callable) -> Angles:
+    """scalar(float(theta)), or array(theta) for an ndarray with ndim >= 1,
+    once every angle is known to lie in (0, 2*pi); NaN lies outside.
+    The kernel functions below handle an in-domain float themselves and
+    pass everything else here."""
+    if not is_real_number(theta):
+        raise AngleDomainError(f"angle {theta!r} is not a real number")
+    if isinstance(theta, np.ndarray) and theta.ndim:
+        x = theta.astype(np.float64, copy=False)
+        inside = (x > 0.0) & (x < TWO_PI)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            index = tuple(int(k) for k in np.unravel_index(i, x.shape))
+            raise _domain_error(float(x.flat[i]), f" at index {index}")
+        # near 0 the pole overflows to inf silently, as on the scalar path
+        with np.errstate(divide="ignore", over="ignore"):
+            return array(x)
     theta = float(theta)
     if not 0.0 < theta < TWO_PI:
-        raise AngleDomainError(f"angle {theta!r} outside open interval (0, 2*pi)")
-    return theta
+        raise _domain_error(theta)
+    return scalar(theta)
 
 
-def f_eval(theta: float) -> float:
-    """Kernel value at separation theta in (0, 2*pi)."""
-    return backend.f_eval(_check_domain(theta))
+def f_eval(theta: Angles) -> Angles:
+    """Kernel value at separation theta in (0, 2*pi), or the array of
+    values at an ndarray of separations."""
+    if isinstance(theta, float):
+        theta = float(theta)
+        if 0.0 < theta < TWO_PI:
+            return backend.f_eval(theta)
+    return _evaluate(theta, backend.f_eval, backend._f_array)
 
 
-def f_prime(theta: float) -> float:
-    """First derivative of the kernel."""
-    return backend.f_prime(_check_domain(theta))
+def f_prime(theta: Angles) -> Angles:
+    """First derivative of the kernel, at one angle or an ndarray."""
+    if isinstance(theta, float):
+        theta = float(theta)
+        if 0.0 < theta < TWO_PI:
+            return backend.f_prime(theta)
+    return _evaluate(theta, backend.f_prime, backend._f_prime_array)
 
 
-def f_double_prime(theta: float) -> float:
-    """Second derivative of the kernel."""
-    return backend.f_double_prime(_check_domain(theta))
+def f_double_prime(theta: Angles) -> Angles:
+    """Second derivative of the kernel, at one angle or an ndarray."""
+    if isinstance(theta, float):
+        theta = float(theta)
+        if 0.0 < theta < TWO_PI:
+            return backend.f_double_prime(theta)
+    return _evaluate(theta, backend.f_double_prime, backend._f_double_prime_array)
 
 
 @dataclass(frozen=True)

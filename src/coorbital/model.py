@@ -21,7 +21,7 @@ from .exceptions import (
     MassDomainError,
     RankDeficiencyAbsentError,
 )
-from .kernel import COLLISION_TOL, TWO_PI
+from .kernel import COLLISION_TOL, TWO_PI, is_real_number
 
 ANGLE_SUM_TOL = 1e-12
 RANK_TOL = 1e-9
@@ -39,6 +39,15 @@ def _kernel_at(separation: float) -> float:
     return backend.f_eval(separation)
 
 
+def _real(value: object, error: type) -> float:
+    # booleans and strings would pass float(); the types refuse them
+    if isinstance(value, float):
+        return float(value)
+    if not is_real_number(value):
+        raise error(f"{value!r} is not a real number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class AngleConfig:
     """Cyclic angular gaps of an N-satellite ring, winding once around."""
@@ -46,7 +55,7 @@ class AngleConfig:
     thetas: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        thetas = tuple(float(t) for t in self.thetas)
+        thetas = tuple(_real(t, AngleDomainError) for t in self.thetas)
         object.__setattr__(self, "thetas", thetas)
         if len(thetas) < 3:
             raise AngleDomainError("ring needs at least 3 gaps")
@@ -63,7 +72,7 @@ class MassVector:
     mus: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        mus = tuple(float(m) for m in self.mus)
+        mus = tuple(_real(m, MassDomainError) for m in self.mus)
         object.__setattr__(self, "mus", mus)
         if not mus:
             raise MassDomainError("mass vector must be non-empty")
@@ -80,9 +89,9 @@ class SymmetricConfig:
     theta4: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta1", float(self.theta1))
-        object.__setattr__(self, "theta2", float(self.theta2))
-        object.__setattr__(self, "theta4", float(self.theta4))
+        object.__setattr__(self, "theta1", _real(self.theta1, AngleDomainError))
+        object.__setattr__(self, "theta2", _real(self.theta2, AngleDomainError))
+        object.__setattr__(self, "theta4", _real(self.theta4, AngleDomainError))
         if not 0.0 < self.theta1 < math.pi:
             raise AngleDomainError("theta1 must lie in (0, pi)")
         if not 0.0 < self.theta2 < TWO_PI:
@@ -96,8 +105,8 @@ class SymmetricConfig:
     @classmethod
     def from_pair(cls, theta1: float, theta2: float) -> "SymmetricConfig":
         """Build from the two free angles; the fourth gap closes the ring."""
-        theta1 = float(theta1)
-        theta2 = float(theta2)
+        theta1 = _real(theta1, AngleDomainError)
+        theta2 = _real(theta2, AngleDomainError)
         return cls(theta1, theta2, TWO_PI - 2.0 * theta1 - theta2)
 
     def expand(self) -> AngleConfig:

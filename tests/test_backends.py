@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coorbital
-from coorbital import backend
+from coorbital import backend, kernel
+from coorbital.cli import KERNEL_GRID_DELTA
 from coorbital.curve import EDGE_INSET, SCAN_CELLS
 from coorbital.rootfind import RESID_TOL, Bracket, brackets_from_values
 
@@ -40,6 +41,61 @@ def test_curve_scan_bit_identical_to_scalar_on_reference_grids():
             f"on {len(bad)} nodes, first k={bad[:1]}: numpy sin/cos do not "
             f"round like math.sin/math.cos on this platform"
         )
+
+
+# (name, public function, numpy twin, scalar twin)
+KERNEL_TWINS = [
+    ("f", kernel.f_eval, backend._f_array, backend.f_eval),
+    ("f'", kernel.f_prime, backend._f_prime_array, backend.f_prime),
+    ("f''", kernel.f_double_prime, backend._f_double_prime_array, backend.f_double_prime),
+]
+
+
+def assert_array_twins_match_scalar(theta):
+    # Exact equality, as for curve_scan: the kernel table is written from
+    # the arrays, and its bytes must equal the scalar values at every node.
+    nodes = theta.tolist()
+    for name, public, twin, scalar in KERNEL_TWINS:
+        want = [scalar(t) for t in nodes]
+        # near 0 the pole overflows to inf, which the public path keeps quiet
+        with np.errstate(divide="ignore", over="ignore"):
+            direct = twin(theta)
+        for got in (direct, public(theta)):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            bad = [k for k, (a, b) in enumerate(zip(got.tolist(), want)) if a != b]
+            assert got.shape == theta.shape and not bad, (
+                f"numpy {name} differs from the scalar {name} on {len(bad)} of "
+                f"{len(nodes)} nodes, first at theta={nodes[bad[0]]!r}: numpy "
+                f"sin/cos do not round like math.sin/math.cos on this platform"
+            )
+
+
+def test_kernel_twins_bit_identical_to_scalar_on_kernel_table_grid():
+    # every node of `coorbital kernel --steps 100000`
+    n = 100000
+    step = (backend.TWO_PI - 2.0 * KERNEL_GRID_DELTA) / n
+    assert_array_twins_match_scalar(KERNEL_GRID_DELTA + np.arange(n) * step)
+
+
+EDGE_ANGLES = [
+    1e-4,
+    math.nextafter(math.pi, 0.0),
+    math.pi,
+    math.nextafter(math.pi, 4.0),
+    backend.TWO_PI - 1e-4,
+    5e-324,
+    math.nextafter(backend.TWO_PI, 0.0),
+]
+ANGLE = st.one_of(
+    st.sampled_from(EDGE_ANGLES),
+    st.floats(0.0, backend.TWO_PI, exclude_min=True, exclude_max=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ANGLE, min_size=1, max_size=64))
+def test_kernel_twins_bit_identical_to_scalar_on_random_arrays(angles):
+    assert_array_twins_match_scalar(np.array(angles, dtype=np.float64))
 
 
 def loop_brackets(lo, hi, values, resid_tol=RESID_TOL):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coorbital import cli
+from coorbital import cli, kernel
 from coorbital.cli import main
 from coorbital.exceptions import TraceResidualError
 
@@ -408,10 +408,11 @@ def test_streamed_records_equal_the_built_text(record, fmt):
         out = str(Path(tmp) / f"records.{fmt}")
         try:
             expected = _reference_text(fmt, MANIFEST, header, rows).encode("utf-8")
-        except TypeError:
-            # json cannot encode np.int64; the streaming writer refuses it too
+        except (TypeError, UnicodeEncodeError) as exc:
+            # json cannot encode np.int64, and UTF-8 cannot encode a lone
+            # surrogate in a CSV cell; the streaming writer refuses both too
             for target in (None, out):
-                with pytest.raises(TypeError):
+                with pytest.raises(type(exc)):
                     _streamed_bytes(fmt, MANIFEST, header, rows, target)
             return
         assert _streamed_bytes(fmt, MANIFEST, header, rows) == expected
@@ -443,6 +444,72 @@ def test_kernel_table_memory_does_not_grow_with_rows(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def _reference_json_value(value):
+    """cli._json_value before its fast path: every float takes the round
+    trip through float(format(value, ".12g"))."""
+    if isinstance(value, float):
+        value = float(format(value, ".12g"))
+        if math.isfinite(value):
+            return repr(value)
+    return json.dumps(value)
+
+
+def _reference_kernel_rows(steps):
+    """The row generator the numpy blocks replaced: one scalar kernel call
+    per cell."""
+    step = (2.0 * PI - 2.0 * cli.KERNEL_GRID_DELTA) / steps
+    thetas = (cli.KERNEL_GRID_DELTA + k * step for k in range(steps))
+    return ((t, kernel.f_eval(t), kernel.f_prime(t), kernel.f_double_prime(t)) for t in thetas)
+
+
+# block edges: 1024 rows per block, so one short block, exactly one
+# block, one block plus a single row, and many blocks with a partial one
+@pytest.mark.parametrize("steps", [2, 1023, 1024, 1025, 30011])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_table_bytes_equal_the_scalar_reference(monkeypatch, tmp_path, fmt, steps):
+    out = tmp_path / f"kernel.{fmt}"
+    assert main(["kernel", "--steps", str(steps), "--format", fmt, "--out", str(out)]) == 0
+    manifest = cli.RunManifest(
+        command="kernel",
+        parameters={"steps": steps},
+        tolerance_set={"grid_delta": cli.KERNEL_GRID_DELTA},
+    )
+    header = ("theta", "f", "f_prime", "f_double_prime")
+    monkeypatch.setattr(cli, "_json_value", _reference_json_value)
+    expected = _streamed_bytes(fmt, manifest, header, _reference_kernel_rows(steps))
+    assert out.read_bytes() == expected
+
+
+JSON_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324,
+    1e-4, 9.9999999999995e-05, 1.00000000000049e-4, 1e-5,
+    999999999999.4, 999999999999.5, 1e12, -2e12, 1e16, -6e16, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("value", JSON_EDGE_FLOATS)
+def test_json_value_edge_cases_match_the_float_round_trip(value):
+    assert cli._json_value(value) == _reference_json_value(value)
+    assert cli._json_value(np.float64(value)) == _reference_json_value(np.float64(value))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.floats() | st.floats(-1e13, 1e13) | st.floats(-1e13, 1e13).map(np.float64))
+def test_json_value_matches_the_float_round_trip(value):
+    assert cli._json_value(value) == _reference_json_value(value)
+
+
+def test_json_value_matches_the_float_round_trip_on_random_mantissas():
+    # full 53-bit mantissas at magnitudes from 1e-6 to 3e13, on both sides
+    # of where 12-digit text switches to exponent notation
+    rng = random.Random(20261018)
+    for _ in range(20000):
+        value = math.ldexp(rng.getrandbits(53) / 2.0**53, rng.randint(-20, 45))
+        for v in (value, -value):
+            assert cli._json_value(v) == _reference_json_value(v), v
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

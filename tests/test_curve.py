@@ -72,6 +72,24 @@ def test_strip_domain_errors():
         curve_eval(1.5, 3.3)  # theta4 closes negative
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "1.0"], ids=["bool", "np.bool_", "str"])
+@pytest.mark.parametrize(
+    "fn", [curve_eval, region_classify, curve_point, mass_ratio, mass_ratio_pair]
+)
+def test_strip_refuses_booleans_and_strings(fn, bad):
+    with pytest.raises(AngleDomainError, match="not a real number"):
+        fn(bad, 1.0)
+    with pytest.raises(AngleDomainError, match="not a real number"):
+        fn(0.5, bad)
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "1.0"], ids=["bool", "np.bool_", "str"])
+def test_trace_grid_refuses_booleans_and_strings(bad):
+    # True and "1.0" would otherwise trace the D1 line theta2 = 1.0
+    with pytest.raises(AngleDomainError, match="not a real number"):
+        trace_curve("D1", [0.5, bad])
+
+
 @pytest.mark.parametrize(
     "fn", [curve_eval, region_classify, curve_point, mass_ratio, mass_ratio_pair]
 )

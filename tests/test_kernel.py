@@ -122,3 +122,61 @@ def test_domain_errors(bad):
         f_prime(bad)
     with pytest.raises(AngleDomainError):
         f_double_prime(bad)
+
+
+KERNEL_FUNCTIONS = [f_eval, f_prime, f_double_prime]
+
+
+@pytest.mark.parametrize("fn", KERNEL_FUNCTIONS)
+def test_array_argument_gives_array_of_scalar_values(fn):
+    theta = np.array([[0.5, math.pi], [4.0, TWO_PI - 1e-4]])
+    got = fn(theta)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == theta.shape
+    assert got.tolist() == [[fn(float(t)) for t in row] for row in theta.tolist()]
+    assert fn(np.array([1, 2, 3])).tolist() == [fn(1.0), fn(2.0), fn(3.0)]
+    assert fn(np.array([], dtype=np.float64)).shape == (0,)
+
+
+@pytest.mark.parametrize("fn", KERNEL_FUNCTIONS)
+@pytest.mark.parametrize("theta", [np.float64(1.5), np.float32(1.5), np.array(1.5), np.int64(2), 2])
+def test_scalar_like_argument_gives_float(fn, theta):
+    got = fn(theta)
+    assert type(got) is float and got == fn(float(theta))
+
+
+@pytest.mark.parametrize("fn", KERNEL_FUNCTIONS)
+@pytest.mark.parametrize(
+    "theta, bad, where",
+    [
+        ([1.0, 0.0, 7.0], "0.0", "(1,)"),
+        ([1.0, 2.0, math.nan], "nan", "(2,)"),
+        ([TWO_PI, 1.0], repr(TWO_PI), "(0,)"),
+        ([[1.0, 2.0], [3.0, -math.inf]], "-inf", "(1, 1)"),
+    ],
+)
+def test_array_domain_error_names_first_bad_entry(fn, theta, bad, where):
+    with pytest.raises(AngleDomainError, match=rf"angle {bad} at index \({where[1:-1]}\) outside"):
+        fn(np.array(theta))
+
+
+@pytest.mark.parametrize("fn", KERNEL_FUNCTIONS)
+@pytest.mark.parametrize(
+    "bad",
+    [True, False, np.bool_(True), "1.0", b"1.0", np.array(True), np.array([True, False]),
+     np.array(["1.0"]), np.array([1.0 + 0j])],
+    ids=["True", "False", "np.bool_", "str", "bytes", "bool-0d", "bool-array", "str-array",
+         "complex-array"],
+)
+def test_booleans_and_strings_are_not_angles(fn, bad):
+    with pytest.raises(AngleDomainError, match="not a real number"):
+        fn(bad)
+
+
+@pytest.mark.parametrize("fn", KERNEL_FUNCTIONS)
+def test_pole_overflows_to_infinity_on_both_paths(fn):
+    # near 0 a denominator underflows to zero (f'' first, below ~1e-80);
+    # both paths then give the same infinity instead of raising
+    for theta in (5e-324, 1e-110, 1e-90):
+        assert fn(np.array([theta])).tolist() == [fn(theta)]
+    assert math.isinf(fn(1e-110))

@@ -80,6 +80,31 @@ def test_mass_vector_rejects_non_finite_masses(mus):
         MassVector(mus)
 
 
+NOT_REAL = [True, np.bool_(True), "1.0", np.array(True)]
+NOT_REAL_IDS = ["bool", "np.bool_", "str", "bool-0d-array"]
+
+
+@pytest.mark.parametrize("bad", NOT_REAL, ids=NOT_REAL_IDS)
+def test_types_refuse_booleans_and_strings(bad):
+    quarter = math.pi / 2
+    with pytest.raises(AngleDomainError, match="not a real number"):
+        AngleConfig((bad, quarter, quarter, quarter))
+    with pytest.raises(AngleDomainError, match="not a real number"):
+        SymmetricConfig.from_pair(bad, 1.0)
+    with pytest.raises(AngleDomainError, match="not a real number"):
+        SymmetricConfig.from_pair(1.0, bad)
+    with pytest.raises(AngleDomainError, match="not a real number"):
+        SymmetricConfig(1.0, bad, TWO_PI - 3.0)
+    with pytest.raises(MassDomainError, match="not a real number"):
+        MassVector((bad, 1, 1, 1))
+
+
+def test_types_accept_ints_and_numpy_numbers():
+    assert MassVector((1, np.int64(2), np.float32(0.5), np.float64(3.0))).mus == (1.0, 2.0, 0.5, 3.0)
+    sym = SymmetricConfig.from_pair(np.float64(0.7), 1)
+    assert (type(sym.theta1), type(sym.theta2)) == (float, float)
+
+
 def test_symmetric_config_validation():
     with pytest.raises(AngleDomainError):
         SymmetricConfig.from_pair(3.2, 0.1)
