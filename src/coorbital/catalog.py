@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from . import backend
 from .exceptions import CatalogMismatchError, ConsistencyError
@@ -28,25 +28,47 @@ POINT_WIDTH_TOL = 1e-14
 # diverging f(theta4) would fabricate a sign change
 CORNER_MARGIN = 1e-3
 
-# published coordinates the recomputation must reproduce
-REFERENCE: Dict[str, Tuple[float, float]] = {
-    "A": (1.4127, PI_THIRD),
-    "B": (0.5 * math.pi, math.pi),
-    "C": (0.5 * math.pi, 0.0),
-    "D": (math.pi / 6.0, 0.0),
-    "E": (0.8167, PI_THIRD),
-    "F_pt": (0.8413, math.pi),
-    "G": (0.8167, 3.6026),
-    "H": (math.pi / 6.0, FIVE_PI_THIRD),
-    "J": (0.6281, 0.4191),
-    "K": (0.5 * math.pi, 0.5 * math.pi),
-    "L": (0.6281, 4.6079),
-    "M": (1.4127, 2.4106),
+# label -> ((published theta1, theta2), vanishing kernel value, case
+# tag or None, note); the row order is the output order
+POINTS: Dict[str, Tuple[Tuple[float, float], str, Optional[str], str]] = {
+    "A": ((1.4127, PI_THIRD), "f(theta2)", "T36", ""),
+    "B": ((0.5 * math.pi, math.pi), "f(theta2)", None,
+          "collision-edge limit: theta4 -> 0 as theta2 -> pi"),
+    "C": ((0.5 * math.pi, 0.0), "f(theta4)", None,
+          "collision-edge limit: theta2 -> 0 with theta4 -> pi"),
+    "D": ((math.pi / 6.0, 0.0), "f(theta4)", None,
+          "collision-edge limit: theta2 -> 0 with theta4 -> 5*pi/3"),
+    "E": ((0.8167, PI_THIRD), "f(theta2)", None,
+          "sample masses degenerate here (mu4 = -mu1); no positive family"),
+    "F_pt": ((0.8413, math.pi), "f(theta2)", None,
+             "sits on the f(theta1) = f(theta1+theta2) boundary; the nearby "
+             "arc classifies OUTSIDE on both sides of theta2 = pi"),
+    "G": ((0.8167, 3.6026), "f(theta4)", None,
+          "reflection of E under the theta2 <-> theta4 exchange; "
+          "theta4 = pi/3 exactly"),
+    "H": ((math.pi / 6.0, FIVE_PI_THIRD), "f(theta2)", None,
+          "collision-edge limit: theta4 -> 0 as theta2 -> 5*pi/3"),
+    "J": ((0.6281, 0.4191), "f(theta1+theta2)", "T32", ""),
+    "K": ((0.5 * math.pi, 0.5 * math.pi), "f(theta1+theta2)", "T33", ""),
+    "L": ((0.6281, 4.6079), "f(theta1+theta2)", "T34", ""),
+    "M": ((1.4127, 2.4106), "f(theta4)", "T37", ""),
 }
+
+# published coordinates the recomputation must reproduce
+REFERENCE = {label: row[0] for label, row in POINTS.items()}
 
 # collision-edge offsets for the endpoint limits; the branch angle is
 # extrapolated to offset zero in the cube-root variable h**(1/3)
 ENDPOINT_OFFSETS = (1e-3, 1e-4, 1e-5)
+
+# edge label -> (theta2 at offset h, theta1 bracket on that line); a
+# bracket top of None runs to the theta4 -> 0 edge of the strip
+EDGES: Dict[str, Tuple[Callable[[float], float], float, Optional[float]]] = {
+    "B": (lambda h: math.pi - h, 1.2, None),
+    "C": (lambda h: h, 1.2, 1.8),
+    "D": (lambda h: h, 0.2, 0.9),
+    "H": (lambda h: FIVE_PI_THIRD - h, 0.2, None),
+}
 
 
 @dataclass(frozen=True)
@@ -121,26 +143,15 @@ def _cube_root_extrapolate(samples: Sequence[Tuple[float, float]]) -> float:
     return total
 
 
-def _edge_limit(label: str) -> float:
-    """theta1 limit of a branch at a band edge, by offset extrapolation."""
+def _edge_limit(label: str) -> Tuple[float, float]:
+    """Point where a branch meets a band edge, by offset extrapolation."""
+    line, lo, hi = EDGES[label]
     samples = []
     for h in ENDPOINT_OFFSETS:
-        if label == "B":
-            theta2 = math.pi - h
-            lo, hi = 1.2, math.pi - 0.5 * theta2 - 1e-9
-        elif label == "C":
-            theta2 = h
-            lo, hi = 1.2, 1.8
-        elif label == "D":
-            theta2 = h
-            lo, hi = 0.2, 0.9
-        elif label == "H":
-            theta2 = FIVE_PI_THIRD - h
-            lo, hi = 0.2, math.pi - 0.5 * theta2 - 1e-9
-        else:
-            raise ValueError(label)
-        samples.append((h, _root_between(theta2, lo, hi, f"endpoint {label}")))
-    return _cube_root_extrapolate(samples)
+        theta2 = line(h)
+        top = math.pi - 0.5 * theta2 - 1e-9 if hi is None else hi
+        samples.append((h, _root_between(theta2, lo, top, f"endpoint {label}")))
+    return _cube_root_extrapolate(samples), line(0.0)
 
 
 @lru_cache(maxsize=1)
@@ -148,73 +159,38 @@ def build_catalog() -> SpecialPointCatalog:
     """Recompute all twelve special points and validate against the
     references; raises CatalogMismatch when any coordinate is off by
     more than 1e-3."""
-    sol36 = solve_T36()
-    sol32 = solve_T32()
-    sol33 = solve_T33()
-    sol34 = solve_T34()
-    sol37 = solve_T37()
+    solved = {
+        sol.theorem_tag: sol
+        for sol in (solve_T36(), solve_T32(), solve_T33(), solve_T34(), solve_T37())
+    }
 
     # the theta2 = pi/3 line crosses the curve twice: E below, A above
     e_root, a_root = _scan_line(
         PI_THIRD, math.pi - 0.5 * PI_THIRD - CORNER_MARGIN, 2, "theta2=pi/3 line"
     )
-    if abs(a_root - sol36.config.theta1) > 1e-9:
+    if abs(a_root - solved["T36"].config.theta1) > 1e-9:
         raise ConsistencyError("theta2=pi/3 upper crossing disagrees with the T36 root")
-
-    # G mirrors E across the theta2 <-> theta4 exchange
-    g_theta2 = TWO_PI - 2.0 * e_root - PI_THIRD
 
     # F_pt: the single crossing on the theta2 = pi line
     (f_root,) = _scan_line(
         math.pi, 0.5 * math.pi - CORNER_MARGIN, 1, "theta2=pi line"
     )
-
-    coords: Dict[str, Tuple[float, float]] = {
-        "A": (sol36.config.theta1, sol36.config.theta2),
-        "B": (_edge_limit("B"), math.pi),
-        "C": (_edge_limit("C"), 0.0),
-        "D": (_edge_limit("D"), 0.0),
+    by_hand = {
         "E": (e_root, PI_THIRD),
         "F_pt": (f_root, math.pi),
-        "G": (e_root, g_theta2),
-        "H": (_edge_limit("H"), FIVE_PI_THIRD),
-        "J": (sol32.config.theta1, sol32.config.theta2),
-        "K": (sol33.config.theta1, sol33.config.theta2),
-        "L": (sol34.config.theta1, sol34.config.theta2),
-        "M": (sol37.config.theta1, sol37.config.theta2),
-    }
-
-    vanishing = {
-        "A": "f(theta2)",
-        "B": "f(theta2)",
-        "C": "f(theta4)",
-        "D": "f(theta4)",
-        "E": "f(theta2)",
-        "F_pt": "f(theta2)",
-        "G": "f(theta4)",
-        "H": "f(theta2)",
-        "J": "f(theta1+theta2)",
-        "K": "f(theta1+theta2)",
-        "L": "f(theta1+theta2)",
-        "M": "f(theta4)",
-    }
-    tags = {"A": "T36", "J": "T32", "K": "T33", "L": "T34", "M": "T37"}
-    notes = {
-        "B": "collision-edge limit: theta4 -> 0 as theta2 -> pi",
-        "C": "collision-edge limit: theta2 -> 0 with theta4 -> pi",
-        "D": "collision-edge limit: theta2 -> 0 with theta4 -> 5*pi/3",
-        "H": "collision-edge limit: theta4 -> 0 as theta2 -> 5*pi/3",
-        "E": "sample masses degenerate here (mu4 = -mu1); no positive family",
-        "F_pt": "sits on the f(theta1) = f(theta1+theta2) boundary; the "
-        "nearby arc classifies OUTSIDE on both sides of theta2 = pi",
-        "G": "reflection of E under the theta2 <-> theta4 exchange; "
-        "theta4 = pi/3 exactly",
+        # G mirrors E across the theta2 <-> theta4 exchange
+        "G": (e_root, TWO_PI - 2.0 * e_root - PI_THIRD),
     }
 
     points = []
-    for label in ("A", "B", "C", "D", "E", "F_pt", "G", "H", "J", "K", "L", "M"):
-        theta1, theta2 = coords[label]
-        ref1, ref2 = REFERENCE[label]
+    for label, ((ref1, ref2), vanishing, tag, note) in POINTS.items():
+        if tag is not None:
+            config = solved[tag].config
+            theta1, theta2 = config.theta1, config.theta2
+        elif label in EDGES:
+            theta1, theta2 = _edge_limit(label)
+        else:
+            theta1, theta2 = by_hand[label]
         delta = max(abs(theta1 - ref1), abs(theta2 - ref2))
         if delta > CATALOG_TOL:
             raise CatalogMismatchError(
@@ -230,9 +206,9 @@ def build_catalog() -> SpecialPointCatalog:
                 ref_theta2=ref2,
                 delta=delta,
                 degenerate=True,
-                vanishing=vanishing[label],
-                theorem_tag=tags.get(label),
-                note=notes.get(label, ""),
+                vanishing=vanishing,
+                theorem_tag=tag,
+                note=note,
             )
         )
     return SpecialPointCatalog(tuple(points))

@@ -30,7 +30,8 @@ from .exceptions import (
 )
 from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI, is_real_number
 from .model import SymmetricConfig, kernel_values
-from .rootfind import Bracket, bracket_root, brackets_from_values, converged_root
+from .rootfind import Bracket, RootResult, bracket_root, brackets_from_values
+from .rootfind import converged_root
 
 BOUNDARY_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
@@ -138,15 +139,16 @@ def mass_ratio_pair(theta1: float, theta2: float) -> Tuple[float, float]:
     return point.r_sum, point.r_diff
 
 
-def _line_roots(theta2: float, width_tol: float) -> List[float]:
-    """All curve crossings theta1 on one theta2 line, full-strip scan."""
+def _line_roots(theta2: float, width_tol: float) -> List[RootResult]:
+    """All curve crossings theta1 on one theta2 line, full-strip scan,
+    each refined with its residual."""
     lo = EDGE_INSET
     hi = math.pi - 0.5 * theta2 - EDGE_INSET
     if hi <= lo:
         return []
     values = backend.curve_scan(theta2, lo, hi, SCAN_CELLS)
     fn = lambda t: backend.curve_eval(t, theta2)
-    roots = []
+    results = []
     for br in brackets_from_values(lo, hi, values):
         res = bracket_root(fn, br, width_tol=width_tol, resid_tol=0.0)
         if not res.converged:
@@ -154,8 +156,8 @@ def _line_roots(theta2: float, width_tol: float) -> List[float]:
                 f"curve root on the theta2={theta2!r} line did not reach width "
                 f"{width_tol!r} in [{br.lo!r}, {br.hi!r}]"
             )
-        roots.append(res.root)
-    return roots
+        results.append(res)
+    return results
 
 
 def trace_curve(
@@ -181,13 +183,12 @@ def trace_curve(
             raise AngleDomainError(
                 f"theta2 {theta2!r} outside the {region} band ({band_lo}, {band_hi})"
             )
-        for root in _line_roots(theta2, width_tol):
-            resid = backend.curve_eval(root, theta2)
-            if abs(resid) >= TRACE_RESID_GATE:
+        for res in _line_roots(theta2, width_tol):
+            if abs(res.residual) >= TRACE_RESID_GATE:
                 raise TraceResidualError(
-                    f"traced point ({root}, {theta2}) has residual {resid}"
+                    f"traced point ({res.root}, {theta2}) has residual {res.residual}"
                 )
-            point = curve_point(root, theta2)
+            point = curve_point(res.root, theta2)
             if point.region == "OUTSIDE":
                 continue
             points.append(point)
@@ -207,11 +208,13 @@ def r_diff_pole(
     line holds exactly one branch root and f(theta4) changes sign
     between them."""
     window = f"pole window ({theta2_lo!r}, {theta2_hi!r})"
+    if not (is_real_number(theta2_lo) and is_real_number(theta2_hi)):
+        raise AngleDomainError(f"{window} bounds must be real numbers")
     if not PI_THIRD < theta2_lo < theta2_hi < math.pi:
         raise AngleDomainError(f"{window} must lie in (pi/3, pi) with lo < hi")
 
     def f4_on_branch(theta2: float, error: type = ConsistencyError) -> float:
-        points = [curve_point(r, theta2) for r in _line_roots(theta2, width_tol)]
+        points = [curve_point(r.root, theta2) for r in _line_roots(theta2, width_tol)]
         branch = [p for p in points if p.region != "OUTSIDE"]
         if len(branch) != 1:
             raise error(

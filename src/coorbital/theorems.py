@@ -147,8 +147,9 @@ def _pair_sum_case(tag: str, theta0: float, span: float) -> CaseSolution:
     )
 
 
-def _band(lo: float, hi: float) -> np.ndarray:
-    return np.linspace(lo + GRID_INSET, hi - GRID_INSET, GRID_POINTS)
+def _band(lo: float, hi: float) -> List[float]:
+    # Python floats take f_eval's fast scalar path
+    return np.linspace(lo + GRID_INSET, hi - GRID_INSET, GRID_POINTS).tolist()
 
 
 def _half_turn_product_branch(label: str, tag: str) -> RejectedBranch:
@@ -234,7 +235,7 @@ def check_T35() -> CaseSolution:
     """
     hi = 4.0 * math.pi / 3.0
     kept = [
-        float(t)
+        t
         for t in _band(0.0, hi)
         if abs(t - PI_THIRD) >= 1e-6 and abs(t - math.pi) >= 1e-6
     ]

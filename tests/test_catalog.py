@@ -13,8 +13,6 @@ from coorbital.theorems import (
     opposite_pair_condition,
     solve_T32,
     solve_T33,
-    solve_T36,
-    solve_T37,
 )
 from coorbital.rootfind import bracket_root, scan_brackets
 
@@ -91,9 +89,11 @@ def test_reflection_relation():
 
 def test_interior_points_match_solvers():
     cat = build_catalog()
-    assert abs(cat.by_label("J").theta1 - solve_T32().config.theta1) < 1e-12
-    assert abs(cat.by_label("A").theta1 - solve_T36().config.theta1) < 1e-12
-    assert abs(cat.by_label("M").theta2 - solve_T37().config.theta2) < 1e-12
+    tagged = [p for p in cat.points if p.theorem_tag is not None]
+    assert [p.label for p in tagged] == ["A", "J", "K", "L", "M"]
+    for p in tagged:
+        config = SOLVERS[p.theorem_tag]().config
+        assert (p.theta1, p.theta2) == (config.theta1, config.theta2), p.label
 
 
 def test_collision_edge_limits():

@@ -1,4 +1,5 @@
 """Curve evaluation, region classification, branch tracing."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coorbital import backend
+from coorbital import backend, curve
 from coorbital.curve import (
     curve_eval,
     curve_point,
@@ -22,6 +23,7 @@ from coorbital.exceptions import (
     AngleDomainError,
     ConsistencyError,
     DegenerateDenominatorError,
+    TraceResidualError,
 )
 from coorbital.kernel import COLLISION_TOL, f_eval
 from coorbital.model import (
@@ -180,6 +182,17 @@ def test_trace_raises_when_refinement_does_not_converge():
         trace_curve("D2", [2.0], width_tol=1e-300)
 
 
+def test_trace_gates_on_the_refinement_residual(monkeypatch):
+    real = curve.bracket_root
+
+    def large_residual(fn, bracket, **kwargs):
+        return dataclasses.replace(real(fn, bracket, **kwargs), residual=1.0)
+
+    monkeypatch.setattr(curve, "bracket_root", large_residual)
+    with pytest.raises(TraceResidualError, match="has residual 1.0"):
+        trace_curve("D2", [2.0])
+
+
 def test_trace_rejects_bad_region():
     with pytest.raises(ValueError):
         trace_curve("D5", [0.5])
@@ -297,11 +310,13 @@ def test_r_diff_pole_location():
         (math.nan, 2.5), (2.4, math.inf), (0.5, 0.6), (2.5, 2.4),
         (1.5, 1.6), (1.1, 1.2), (2.9, 3.1),
         (math.pi / 3.0 + 1e-12, 1.2), (3.0, math.pi - 1e-12),
+        ("2.4", 2.5), (2.4, "2.5"),
     ],
     ids=[
         "nan-lo", "inf-hi", "below-band", "reversed",
         "no-pole-mid", "no-pole-low", "no-pole-high",
         "lo-at-band-edge", "hi-at-band-edge",
+        "string-lo", "string-hi",
     ],
 )
 def test_r_diff_pole_rejects_bad_window(window):
