@@ -126,10 +126,13 @@ def _root_between(theta2: float, lo: float, hi: float, what: str) -> float:
 def _cube_root_extrapolate(samples: Sequence[Tuple[float, float]]) -> float:
     """Quadratic extrapolation to offset zero in t = h**(1/3).
 
-    The branch angle approaches a collision edge like a cube root of
-    the offset, so interpolating in t and evaluating at t = 0 removes
-    the leading terms (and is exact through h for smooth approaches,
-    since h = t**3 lies in the interpolation span).
+    Fits the polynomial in t through the samples (a quadratic for the
+    three ENDPOINT_OFFSETS) and evaluates it at t = 0. The branch angle
+    approaches a collision edge like a cube root of the offset, which
+    the t and t**2 terms absorb. A quadratic in t cannot carry a term
+    linear in h = t**3: a term a*h leaks a*t1*t2*t3 = a*1e-4 into the
+    limit. C and D approach their edges as -h/2, so they come out about
+    5e-5 from their closed forms.
     """
     ts = [h ** (1.0 / 3.0) for h, _ in samples]
     ys = [y for _, y in samples]

@@ -19,12 +19,11 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO
-
-import numpy as np
 
 from . import __version__
 from .catalog import CATALOG_TOL, POINT_WIDTH_TOL, build_catalog
@@ -70,7 +69,7 @@ def _fmt(value: object) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return str(value)
 
@@ -172,6 +171,7 @@ def _emit_records(
 def _kernel_rows(n: int, step: float) -> Iterator[tuple]:
     """Rows (theta, f, f', f'') at the nodes KERNEL_GRID_DELTA + k*step,
     k < n, evaluated on numpy blocks of _KERNEL_BLOCK nodes."""
+    import numpy as np
     for start in range(0, n, _KERNEL_BLOCK):
         theta = KERNEL_GRID_DELTA + np.arange(start, min(start + _KERNEL_BLOCK, n)) * step
         yield from zip(
@@ -293,6 +293,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.theta2_range)
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
+    import numpy as np
     grid = [float(t) for t in np.linspace(lo, hi, args.steps)]
     points = trace_curve(args.region, grid, width_tol=TRACE_WIDTH_TOL)
     manifest = RunManifest(

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import backend
 from .exceptions import (
     AngleDomainError,
@@ -239,6 +237,7 @@ def r_diff_pole(
 def d4_region_count(n: int = 200) -> int:
     """Number of D4 classifications on an n x n grid over the high
     theta2 band; the sign condition never holds there, so zero."""
+    import numpy as np
     count = 0
     for theta2 in np.linspace(FIVE_PI_THIRD + 1e-3, TWO_PI - 1e-3, n):
         hi = math.pi - 0.5 * float(theta2) - EDGE_INSET

@@ -10,24 +10,29 @@ has exactly two interior zeros, placed symmetrically about pi.
 ``f_eval``, ``f_prime`` and ``f_double_prime`` take one angle and
 return a float, or an ndarray of angles (ndim >= 1) and return the
 float64 array of values, evaluated by the numpy twins in ``backend``
-after one domain check of the whole array. Booleans, strings and
-numpy values that are not integers or floats are refused, although
-``float()`` would read them as numbers.
+after one domain check of the whole array. Only real numbers are
+angles: Python ints and floats (not booleans), other ``numbers.Real``
+values, and numpy values or arrays of an integer or float dtype.
+A scalar angle never imports numpy; an ndarray can only exist once
+numpy is imported, so the array test reads ``sys.modules``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Tuple, Union
 
 from . import backend
 from .backend import TWO_PI
 from .exceptions import AngleDomainError, ConsistencyError
 from .rootfind import Bracket, bracket_root, converged_root
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # shared constants, each comment naming the modules that read it
 # band edges at the kernel zeros (curve, catalog, theorems)
@@ -45,16 +50,16 @@ ZERO_HIGH = FIVE_PI_THIRD
 PROFILE_WIDTH_TOL = 1e-14
 
 # one angle, or an ndarray of them
-Angles = Union[float, np.ndarray]
+Angles = Union[float, "np.ndarray"]
 
 
 def is_real_number(value: object) -> bool:
-    """False for booleans, strings and numpy values whose dtype is not
-    an integer or float type: ``float()`` would read these as numbers."""
+    """True for numpy values and arrays of an integer or float dtype and
+    for ``numbers.Real`` values other than booleans."""
     dtype = getattr(value, "dtype", None)
     if dtype is not None:
         return dtype.kind in "iuf"
-    return not isinstance(value, (bool, str, bytes))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _domain_error(theta: float, where: str = "") -> AngleDomainError:
@@ -68,7 +73,8 @@ def _evaluate(theta: Angles, scalar: Callable, array: Callable) -> Angles:
     pass everything else here."""
     if not is_real_number(theta):
         raise AngleDomainError(f"angle {theta!r} is not a real number")
-    if isinstance(theta, np.ndarray) and theta.ndim:
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(theta, np.ndarray) and theta.ndim:
         x = theta.astype(np.float64, copy=False)
         inside = (x > 0.0) & (x < TWO_PI)
         if not inside.all():
@@ -78,7 +84,10 @@ def _evaluate(theta: Angles, scalar: Callable, array: Callable) -> Angles:
         # near 0 the pole overflows to inf silently, as on the scalar path
         with np.errstate(divide="ignore", over="ignore"):
             return array(x)
-    theta = float(theta)
+    try:
+        theta = float(theta)
+    except OverflowError:
+        raise AngleDomainError("angle too large for a float, outside (0, 2*pi)") from None
     if not 0.0 < theta < TWO_PI:
         raise _domain_error(theta)
     return scalar(theta)

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import backend
 from .exceptions import (
@@ -22,6 +20,9 @@ from .exceptions import (
     RankDeficiencyAbsentError,
 )
 from .kernel import COLLISION_TOL, TWO_PI, is_real_number
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ANGLE_SUM_TOL = 1e-12
 RANK_TOL = 1e-9
@@ -45,7 +46,10 @@ def _real(value: object, error: type) -> float:
         return float(value)
     if not is_real_number(value):
         raise error(f"{value!r} is not a real number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise error("value too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -131,16 +135,36 @@ def residual_general(config: AngleConfig, masses: MassVector) -> List[float]:
     j = 1..N-1 with cyclic indexing; a central configuration makes
     every row vanish.
 
-    Rows are evaluated with numpy in blocks of about _BLOCK_TERMS terms,
-    so memory stays bounded by the block rather than by N^2. Both the
-    partial angle sums and the row sums accumulate left to right, so
-    every row is bit-identical to the scalar sum taken term by term.
-    A separation within COLLISION_TOL of 0 or 2*pi raises
-    AngleDomainError, naming the first one in row-major order.
+    A ring of at most _BLOCK_TERMS terms (N <= 91) is summed term by
+    term in Python; larger rings are evaluated with numpy in blocks of
+    about _BLOCK_TERMS terms, so memory stays bounded by the block
+    rather than by N^2. Both the partial angle sums and the row sums
+    accumulate left to right on both paths, so every row is
+    bit-identical to the scalar sum taken term by term. A separation
+    within COLLISION_TOL of 0 or 2*pi raises AngleDomainError, naming
+    the first one in row-major order.
     """
     n = len(config.thetas)
     if len(masses.mus) != n:
         raise MassDomainError("angle and mass lists must share a length")
+    if n * (n - 1) > _BLOCK_TERMS:
+        return _residual_blocks(config, masses)
+    thetas, mus = config.thetas, masses.mus
+    rows = []
+    for i in range(n):
+        acc = 0.0
+        partial = 0.0
+        for j in range(i, i + n - 1):
+            partial += thetas[j % n]
+            acc += mus[(j + 1) % n] * _kernel_at(partial)
+        rows.append(acc)
+    return rows
+
+
+def _residual_blocks(config: AngleConfig, masses: MassVector) -> List[float]:
+    """residual_general's rows, by numpy blocks of about _BLOCK_TERMS terms."""
+    import numpy as np
+    n = len(config.thetas)
     # row i reads thetas[i .. i+n-2] and mus[i+1 .. i+n-1], cyclically
     windows = np.lib.stride_tricks.sliding_window_view
     th = windows(np.array(config.thetas * 2), n - 1)[:n]
@@ -187,6 +211,7 @@ class MassMatrix:
 
 
 def mass_matrix(sym: SymmetricConfig) -> MassMatrix:
+    import numpy as np
     f1, f2, f4, f12 = kernel_values(sym)
     entries = np.array(
         [
@@ -204,6 +229,7 @@ def coefficient_matrix(masses: MassVector) -> np.ndarray:
     (f1, f2, f4, f12); its determinant vanishes identically."""
     if len(masses.mus) != 4:
         raise MassDomainError("coefficient matrix needs exactly 4 mass factors")
+    import numpy as np
     m1, m2, m3, m4 = masses.mus
     return np.array(
         [
@@ -236,6 +262,7 @@ def positive_null_masses(M: MassMatrix, rank_tol: float = RANK_TOL) -> NullSpace
     if that vector is not strictly positive, masses is None and only the
     basis is returned.
     """
+    import numpy as np
     entries = np.asarray(M.entries, dtype=float)
     # LAPACK's SVD may never return on a non-finite matrix
     if entries.shape != (4, 4) or not np.all(np.isfinite(entries)):

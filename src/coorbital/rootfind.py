@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
-import numpy as np
-
 from .exceptions import ConsistencyError, NoSignChangeError
 
 WIDTH_TOL = 1e-12
@@ -108,7 +106,7 @@ def _check_interval(lo: float, hi: float) -> None:
 def brackets_from_values(
     lo: float,
     hi: float,
-    values: np.ndarray | Sequence[float],
+    values: Sequence[float],
     resid_tol: float = RESID_TOL,
 ) -> List[Bracket]:
     """Extract sign-change brackets from uniform-grid samples.
@@ -124,19 +122,26 @@ def brackets_from_values(
     finite and lo < hi.
     """
     _check_interval(lo, hi)
-    v = np.asarray(values, dtype=np.float64)
-    n_cells = v.size - 1
+    # Only cells that start at a node root or hold a strict sign change
+    # can yield a bracket; a list selects them in Python, anything else
+    # (an ndarray) with numpy. The rules below run on those few cells.
+    if isinstance(values, list):
+        v = values
+        node_root = [abs(x) < resid_tol for x in v]
+        candidates = [i for i in range(len(v) - 1) if node_root[i] or v[i] * v[i + 1] < 0.0]
+    else:
+        import numpy as np
+        v = np.asarray(values, dtype=np.float64)
+        node_root = np.abs(v) < resid_tol
+        candidates = np.flatnonzero(node_root[:-1] | (v[:-1] * v[1:] < 0.0)).tolist()
+    n_cells = len(v) - 1
     if n_cells < 1:
         return []
     step = (hi - lo) / n_cells
-    node_root = np.abs(v) < resid_tol
-    # Only cells that start at a node root or hold a strict sign change
-    # can yield a bracket; the rules below run on those few cells.
-    candidates = np.flatnonzero(node_root[:-1] | (v[:-1] * v[1:] < 0.0))
     out: List[Bracket] = []
-    # tolist() and float() keep np.float64 out of the brackets, whose
-    # fields end up in printed output.
-    for i in candidates.tolist():
+    # float() keeps np.float64 out of the brackets, whose fields end up
+    # in printed output.
+    for i in candidates:
         if node_root[i]:
             if 0 < i and not node_root[i - 1] and not node_root[i + 1]:
                 v_prev, v_next = float(v[i - 1]), float(v[i + 1])

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exceptions import ConsistencyError
 from .kernel import FIVE_PI_THIRD, PI_THIRD, TWO_PI, f_eval
 from .model import MassVector, SymmetricConfig, residual_four
@@ -148,8 +146,11 @@ def _pair_sum_case(tag: str, theta0: float, span: float) -> CaseSolution:
 
 
 def _band(lo: float, hi: float) -> List[float]:
-    # Python floats take f_eval's fast scalar path
-    return np.linspace(lo + GRID_INSET, hi - GRID_INSET, GRID_POINTS).tolist()
+    # np.linspace(a, b, GRID_POINTS) bit for bit, by its own formula, as
+    # Python floats that take f_eval's fast scalar path
+    a, b = lo + GRID_INSET, hi - GRID_INSET
+    step = (b - a) / (GRID_POINTS - 1)
+    return [a + k * step for k in range(GRID_POINTS - 1)] + [b]
 
 
 def _half_turn_product_branch(label: str, tag: str) -> RejectedBranch:

@@ -548,3 +548,48 @@ def test_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# Runs in a fresh interpreter: imports coorbital, then runs the CLI on
+# argv (if any) and prints its exit code and whether numpy got loaded.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import coorbital
+rc = None
+if sys.argv[1:]:
+    from coorbital.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(sys.argv[1:])
+print(json.dumps([rc, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        ([], False),
+        (["theorem", "--tag", "T36"], False),
+        (["special-points"], False),
+        (["verify", 4], False),
+        (["verify", 91], False),
+        (["kernel", "--steps", "10"], True),
+        (["trace", "--region", "D2", "--range", "1.2:1.4", "--steps", "2"], True),
+        (["verify", 92], True),
+        (["verify", 100], True),
+    ],
+    ids=["import", "theorem", "special-points", "verify-4", "verify-91", "kernel",
+         "trace", "verify-92", "verify-100"],
+)
+def test_only_array_paths_import_numpy(tmp_path, argv, loads_numpy):
+    # The short subcommands start without numpy, which is most of their
+    # start-up; the array paths must still be the ones taken.
+    if argv[:1] == ["verify"]:
+        n = argv[1]
+        argv = ["verify", write_config(tmp_path, [2.0 * PI / n] * n, [1.0] * n)]
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    rc, loaded = json.loads(out.stdout)
+    assert rc == (0 if argv else None)
+    assert loaded is loads_numpy

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coorbital import backend
+from coorbital import backend, model
 from coorbital.curve import curve_eval, trace_curve
 from coorbital.exceptions import (
     AngleDomainError,
     MassDomainError,
     RankDeficiencyAbsentError,
 )
-from coorbital.kernel import COLLISION_TOL
+from coorbital.kernel import COLLISION_TOL, f_eval
 from coorbital.model import (
     AngleConfig,
     MassVector,
@@ -99,6 +99,28 @@ def test_types_refuse_booleans_and_strings(bad):
         MassVector((bad, 1, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: f_eval(1j), AngleDomainError, "not a real number"),
+        (lambda: f_eval(None), AngleDomainError, "not a real number"),
+        (lambda: MassVector((None,)), MassDomainError, "not a real number"),
+        (lambda: AngleConfig((1j, 1.0, 1.0)), AngleDomainError, "not a real number"),
+        (lambda: SymmetricConfig.from_pair(None, 1.0), AngleDomainError, "not a real number"),
+        (lambda: trace_curve("D2", [1j]), AngleDomainError, "not a real number"),
+        (lambda: f_eval(10**400), AngleDomainError, "too large for a float"),
+        (lambda: MassVector((10**400,)), MassDomainError, "too large for a float"),
+    ],
+    ids=["f_eval-complex", "f_eval-None", "MassVector-None", "AngleConfig-complex",
+         "from_pair-None", "trace_curve-complex", "f_eval-huge-int", "MassVector-huge-int"],
+)
+def test_non_real_and_overflowing_values_raise_domain_errors(call, error, message):
+    # float() raises TypeError or OverflowError on these; the API promises
+    # its own domain errors instead
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_types_accept_ints_and_numpy_numbers():
     assert MassVector((1, np.int64(2), np.float32(0.5), np.float64(3.0))).mus == (1.0, 2.0, 0.5, 3.0)
     sym = SymmetricConfig.from_pair(np.float64(0.7), 1)
@@ -165,18 +187,24 @@ def _residual_reference(config, masses):
     return rows
 
 
+# residual_general sums rings of up to 91 gaps term by term and larger
+# ones by numpy blocks; the block path is also run on the small rings
+RESIDUAL_PATHS = [residual_general, model._residual_blocks]
+
+
 def _assert_rows_match_reference(config, masses):
     # Exact equality, no tolerance: verify's output bytes rest on every row
     # matching the scalar loop. A numpy build whose float64 sin/cos round
     # differently from libm fails here rather than drifting silently.
-    got = residual_general(config, masses)
     want = _residual_reference(config, masses)
-    bad = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
-    assert len(got) == len(want) and not bad, (
-        f"residual_general differs from the scalar loop on {len(bad)} of "
-        f"{len(want)} rows, first i={bad[:1]}: numpy sin/cos do not round like "
-        f"math.sin/math.cos on this platform, or the row sums changed order"
-    )
+    for path in RESIDUAL_PATHS:
+        got = path(config, masses)
+        bad = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+        assert len(got) == len(want) and not bad, (
+            f"{path.__name__} differs from the scalar loop on {len(bad)} of "
+            f"{len(want)} rows, first i={bad[:1]}: numpy sin/cos do not round like "
+            f"math.sin/math.cos on this platform, or the row sums changed order"
+        )
 
 
 def _closed_ring(weights):
@@ -211,8 +239,8 @@ def _jittered_ring(n, seed):
 @pytest.mark.parametrize(
     "config",
     [AngleConfig((TWO_PI / 512,) * 512), AngleConfig((TWO_PI / 1024,) * 1024),
-     _jittered_ring(1024, 8)],
-    ids=["regular-512", "regular-1024", "jittered-1024"],
+     _jittered_ring(1024, 8), _jittered_ring(91, 9), _jittered_ring(92, 10)],
+    ids=["regular-512", "regular-1024", "jittered-1024", "jittered-91", "jittered-92"],
 )
 def test_large_ring_residuals_bit_identical_to_scalar_loop(config):
     _assert_rows_match_reference(config, MassVector((1.0,) * len(config.thetas)))
@@ -234,9 +262,10 @@ def test_residual_collision_error_matches_scalar_loop(thetas):
     masses = MassVector((1.0,) * len(thetas))
     with pytest.raises(AngleDomainError) as want:
         _residual_reference(config, masses)
-    with pytest.raises(AngleDomainError) as got:
-        residual_general(config, masses)
-    assert str(got.value) == str(want.value)
+    for path in RESIDUAL_PATHS:
+        with pytest.raises(AngleDomainError) as got:
+            path(config, masses)
+        assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=100, deadline=None)

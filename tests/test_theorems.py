@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coorbital import theorems
 from coorbital.kernel import f_eval
 from coorbital.model import residual_four
 from coorbital.theorems import (
@@ -175,3 +178,15 @@ def test_single_kernel_zero_per_case():
 def test_solver_results_cached():
     assert solve_T32() is solve_T32()
     assert check_T35() is check_T35()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True).map(sorted))
+# the three bands the solvers sample
+@example(ends=[0.0, 0.5 * math.pi])
+@example(ends=[0.0, 4.0 * math.pi / 3.0])
+@example(ends=[0.0, math.pi / 6.0])
+def test_band_is_numpy_linspace_bit_for_bit(ends):
+    lo, hi = ends
+    want = np.linspace(lo + theorems.GRID_INSET, hi - theorems.GRID_INSET, theorems.GRID_POINTS)
+    assert [x.hex() for x in theorems._band(lo, hi)] == [x.hex() for x in want.tolist()]
