@@ -18,11 +18,10 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from . import backend
 from .exceptions import CatalogMismatchError, ConsistencyError
 from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI
-from .rootfind import Bracket, bracket_root, converged_root, scan_brackets
+from .rootfind import ROOT_WIDTH_TOL, Bracket, bracket_root, converged_root, scan_brackets
 from .theorems import solve_T32, solve_T33, solve_T34, solve_T36, solve_T37
 
 CATALOG_TOL = 1e-3
-POINT_WIDTH_TOL = 1e-14
 # scans on lines where f(theta2) is a rounding-level residue stay this
 # far from the theta4 -> 0 corner, where that residue times the
 # diverging f(theta4) would fabricate a sign change
@@ -106,7 +105,7 @@ def _scan_line(theta2: float, hi: float, count: int, what: str) -> list:
             f"found {len(brackets)}"
         )
     return sorted(
-        converged_root(bracket_root(fn, br, width_tol=POINT_WIDTH_TOL), what)
+        converged_root(bracket_root(fn, br, width_tol=ROOT_WIDTH_TOL), what)
         for br in brackets
     )
 
@@ -120,7 +119,7 @@ def _root_between(theta2: float, lo: float, hi: float, what: str) -> float:
             f"{what}: no sign change on ({lo}, {hi}) at theta2={theta2}"
         )
     bracket = Bracket(lo, hi, f_lo, f_hi)
-    return converged_root(bracket_root(fn, bracket, width_tol=POINT_WIDTH_TOL), what)
+    return converged_root(bracket_root(fn, bracket, width_tol=ROOT_WIDTH_TOL), what)
 
 
 def _cube_root_extrapolate(samples: Sequence[Tuple[float, float]]) -> float:

@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO
 
 from . import __version__
-from .catalog import CATALOG_TOL, POINT_WIDTH_TOL, build_catalog
-from .curve import TRACE_RESID_GATE, TRACE_WIDTH_TOL, trace_curve
+from .catalog import CATALOG_TOL, build_catalog
+from .curve import TRACE_RESID_GATE, trace_curve
 from .exceptions import (
     CatalogMismatchError,
     ConsistencyError,
@@ -37,7 +37,8 @@ from .exceptions import (
 )
 from .kernel import TWO_PI, f_double_prime, f_eval, f_prime
 from .model import ANGLE_SUM_TOL, AngleConfig, MassVector, residual_general
-from .theorems import CASE_WIDTH_TOL, RESIDUAL_GATE, SOLVERS
+from .rootfind import ROOT_WIDTH_TOL
+from .theorems import RESIDUAL_GATE, SOLVERS
 
 KERNEL_GRID_DELTA = 1e-4
 # kernel table rows evaluated per numpy call; bounds the live row block
@@ -244,7 +245,7 @@ def cmd_theorem(args: argparse.Namespace) -> int:
         command="theorem",
         parameters={"tag": args.tag},
         tolerance_set={
-            "case_width_tol": CASE_WIDTH_TOL,
+            "case_width_tol": ROOT_WIDTH_TOL,
             "residual_gate": RESIDUAL_GATE,
         },
     )
@@ -295,7 +296,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise ValueError("steps must be at least 1")
     import numpy as np
     grid = [float(t) for t in np.linspace(lo, hi, args.steps)]
-    points = trace_curve(args.region, grid, width_tol=TRACE_WIDTH_TOL)
+    points = trace_curve(args.region, grid, width_tol=ROOT_WIDTH_TOL)
     manifest = RunManifest(
         command="trace",
         parameters={
@@ -304,7 +305,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             "steps": args.steps,
         },
         tolerance_set={
-            "root_width_tol": TRACE_WIDTH_TOL,
+            "root_width_tol": ROOT_WIDTH_TOL,
             "trace_residual_gate": TRACE_RESID_GATE,
         },
     )
@@ -364,9 +365,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     worst = max(abs(r) for r in residuals)
     print(f"max |residual| = {worst:.12g}")
     if worst < VERIFY_THRESHOLD:
-        print("PASS (threshold 1e-08)")
+        print(f"PASS (threshold {VERIFY_THRESHOLD:.0e})")
         return 0
-    print("FAIL (threshold 1e-08)")
+    print(f"FAIL (threshold {VERIFY_THRESHOLD:.0e})")
     return 1
 
 
@@ -377,7 +378,7 @@ def cmd_special_points(args: argparse.Namespace) -> int:
         parameters={},
         tolerance_set={
             "catalog_tol": CATALOG_TOL,
-            "point_width_tol": POINT_WIDTH_TOL,
+            "point_width_tol": ROOT_WIDTH_TOL,
         },
     )
     header = (

@@ -26,15 +26,14 @@ from .exceptions import (
     DegenerateDenominatorError,
     TraceResidualError,
 )
-from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI, is_real_number
+from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI, is_real_number, real_float
 from .model import SymmetricConfig, kernel_values
 from .rootfind import Bracket, RootResult, bracket_root, brackets_from_values
-from .rootfind import converged_root
+from .rootfind import ROOT_WIDTH_TOL, converged_root
 
 BOUNDARY_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
 DENOM_TOL = 1e-12
-TRACE_WIDTH_TOL = 1e-14
 TRACE_RESID_GATE = 1e-10
 SCAN_CELLS = 4000
 
@@ -161,7 +160,7 @@ def _line_roots(theta2: float, width_tol: float) -> List[RootResult]:
 def trace_curve(
     region: str,
     theta2_grid: Sequence[float],
-    width_tol: float = TRACE_WIDTH_TOL,
+    width_tol: float = ROOT_WIDTH_TOL,
 ) -> List[CurvePoint]:
     """Trace the curve across a theta2 grid inside one region band.
 
@@ -174,9 +173,7 @@ def trace_curve(
     band_lo, band_hi = BANDS[region]
     points: List[CurvePoint] = []
     for raw in theta2_grid:
-        if not is_real_number(raw):
-            raise AngleDomainError(f"theta2 {raw!r} is not a real number")
-        theta2 = float(raw)
+        theta2 = real_float(raw, AngleDomainError, "theta2")
         if not band_lo < theta2 < band_hi:
             raise AngleDomainError(
                 f"theta2 {theta2!r} outside the {region} band ({band_lo}, {band_hi})"
@@ -197,7 +194,7 @@ def trace_curve(
 def r_diff_pole(
     theta2_lo: float = 2.4,
     theta2_hi: float = 2.5,
-    width_tol: float = TRACE_WIDTH_TOL,
+    width_tol: float = ROOT_WIDTH_TOL,
 ) -> float:
     """theta2 where f(theta4) crosses zero along the middle-band branch,
     sending r_diff through a pole between the bracketing grid rows.

@@ -9,10 +9,11 @@ has exactly two interior zeros, placed symmetrically about pi.
 
 ``f_eval``, ``f_prime`` and ``f_double_prime`` take one angle and
 return a float, or an ndarray of angles (ndim >= 1) and return the
-float64 array of values, evaluated by the numpy twins in ``backend``
-after one domain check of the whole array. Only real numbers are
-angles: Python ints and floats (not booleans), other ``numbers.Real``
-values, and numpy values or arrays of an integer or float dtype.
+float64 array of values, evaluated by the same ``backend`` function
+with numpy after one domain check of the whole array. Only real
+numbers are angles: Python ints and floats (not booleans), other
+``numbers.Real`` values, and numpy values or arrays of an integer or
+float dtype; ``real_float`` is the one conversion of such a value.
 A scalar angle never imports numpy; an ndarray can only exist once
 numpy is imported, so the array test reads ``sys.modules``.
 """
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Tuple, Union
 from . import backend
 from .backend import TWO_PI
 from .exceptions import AngleDomainError, ConsistencyError
-from .rootfind import Bracket, bracket_root, converged_root
+from .rootfind import ROOT_WIDTH_TOL, Bracket, bracket_root, converged_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,8 +48,6 @@ ZERO_LOW = PI_THIRD
 ZERO_MID = math.pi
 ZERO_HIGH = FIVE_PI_THIRD
 
-PROFILE_WIDTH_TOL = 1e-14
-
 # one angle, or an ndarray of them
 Angles = Union[float, "np.ndarray"]
 
@@ -62,19 +61,32 @@ def is_real_number(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def real_float(value: object, error: type, name: str) -> float:
+    """float(value) for a real number (see is_real_number); otherwise, or
+    when the value is too large for a float, ``error`` naming it."""
+    if isinstance(value, float):
+        return float(value)
+    if not is_real_number(value):
+        raise error(f"{name} {value!r} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} too large for a float") from None
+
+
 def _domain_error(theta: float, where: str = "") -> AngleDomainError:
     return AngleDomainError(f"angle {theta!r}{where} outside open interval (0, 2*pi)")
 
 
-def _evaluate(theta: Angles, scalar: Callable, array: Callable) -> Angles:
-    """scalar(float(theta)), or array(theta) for an ndarray with ndim >= 1,
+def _evaluate(theta: Angles, fn: Callable) -> Angles:
+    """fn(float(theta)), or fn(theta, numpy) for an ndarray with ndim >= 1,
     once every angle is known to lie in (0, 2*pi); NaN lies outside.
     The kernel functions below handle an in-domain float themselves and
     pass everything else here."""
-    if not is_real_number(theta):
-        raise AngleDomainError(f"angle {theta!r} is not a real number")
     np = sys.modules.get("numpy")
     if np is not None and isinstance(theta, np.ndarray) and theta.ndim:
+        if not is_real_number(theta):
+            raise AngleDomainError(f"angle {theta!r} is not a real number")
         x = theta.astype(np.float64, copy=False)
         inside = (x > 0.0) & (x < TWO_PI)
         if not inside.all():
@@ -83,14 +95,11 @@ def _evaluate(theta: Angles, scalar: Callable, array: Callable) -> Angles:
             raise _domain_error(float(x.flat[i]), f" at index {index}")
         # near 0 the pole overflows to inf silently, as on the scalar path
         with np.errstate(divide="ignore", over="ignore"):
-            return array(x)
-    try:
-        theta = float(theta)
-    except OverflowError:
-        raise AngleDomainError("angle too large for a float, outside (0, 2*pi)") from None
+            return fn(x, np)
+    theta = real_float(theta, AngleDomainError, "angle")
     if not 0.0 < theta < TWO_PI:
         raise _domain_error(theta)
-    return scalar(theta)
+    return fn(theta)
 
 
 def f_eval(theta: Angles) -> Angles:
@@ -100,7 +109,7 @@ def f_eval(theta: Angles) -> Angles:
         theta = float(theta)
         if 0.0 < theta < TWO_PI:
             return backend.f_eval(theta)
-    return _evaluate(theta, backend.f_eval, backend._f_array)
+    return _evaluate(theta, backend.f_eval)
 
 
 def f_prime(theta: Angles) -> Angles:
@@ -109,7 +118,7 @@ def f_prime(theta: Angles) -> Angles:
         theta = float(theta)
         if 0.0 < theta < TWO_PI:
             return backend.f_prime(theta)
-    return _evaluate(theta, backend.f_prime, backend._f_prime_array)
+    return _evaluate(theta, backend.f_prime)
 
 
 def f_double_prime(theta: Angles) -> Angles:
@@ -118,7 +127,7 @@ def f_double_prime(theta: Angles) -> Angles:
         theta = float(theta)
         if 0.0 < theta < TWO_PI:
             return backend.f_double_prime(theta)
-    return _evaluate(theta, backend.f_double_prime, backend._f_double_prime_array)
+    return _evaluate(theta, backend.f_double_prime)
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,7 @@ def critical_points() -> KernelProfile:
     res = bracket_root(
         backend.f_prime,
         Bracket(lo, hi, f_lo, f_hi),
-        width_tol=PROFILE_WIDTH_TOL,
+        width_tol=ROOT_WIDTH_TOL,
     )
     theta_c = converged_root(res, "derivative zero")
     return KernelProfile(theta_c, TWO_PI - theta_c, (ZERO_LOW, ZERO_MID, ZERO_HIGH))

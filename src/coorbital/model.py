@@ -19,7 +19,7 @@ from .exceptions import (
     MassDomainError,
     RankDeficiencyAbsentError,
 )
-from .kernel import COLLISION_TOL, TWO_PI, is_real_number
+from .kernel import COLLISION_TOL, TWO_PI, real_float
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,18 +40,6 @@ def _kernel_at(separation: float) -> float:
     return backend.f_eval(separation)
 
 
-def _real(value: object, error: type) -> float:
-    # booleans and strings would pass float(); the types refuse them
-    if isinstance(value, float):
-        return float(value)
-    if not is_real_number(value):
-        raise error(f"{value!r} is not a real number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise error("value too large for a float") from None
-
-
 @dataclass(frozen=True)
 class AngleConfig:
     """Cyclic angular gaps of an N-satellite ring, winding once around."""
@@ -59,7 +47,7 @@ class AngleConfig:
     thetas: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        thetas = tuple(_real(t, AngleDomainError) for t in self.thetas)
+        thetas = tuple(real_float(t, AngleDomainError, "angle") for t in self.thetas)
         object.__setattr__(self, "thetas", thetas)
         if len(thetas) < 3:
             raise AngleDomainError("ring needs at least 3 gaps")
@@ -76,7 +64,7 @@ class MassVector:
     mus: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        mus = tuple(_real(m, MassDomainError) for m in self.mus)
+        mus = tuple(real_float(m, MassDomainError, "mass") for m in self.mus)
         object.__setattr__(self, "mus", mus)
         if not mus:
             raise MassDomainError("mass vector must be non-empty")
@@ -93,9 +81,9 @@ class SymmetricConfig:
     theta4: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta1", _real(self.theta1, AngleDomainError))
-        object.__setattr__(self, "theta2", _real(self.theta2, AngleDomainError))
-        object.__setattr__(self, "theta4", _real(self.theta4, AngleDomainError))
+        object.__setattr__(self, "theta1", real_float(self.theta1, AngleDomainError, "theta1"))
+        object.__setattr__(self, "theta2", real_float(self.theta2, AngleDomainError, "theta2"))
+        object.__setattr__(self, "theta4", real_float(self.theta4, AngleDomainError, "theta4"))
         if not 0.0 < self.theta1 < math.pi:
             raise AngleDomainError("theta1 must lie in (0, pi)")
         if not 0.0 < self.theta2 < TWO_PI:
@@ -109,8 +97,8 @@ class SymmetricConfig:
     @classmethod
     def from_pair(cls, theta1: float, theta2: float) -> "SymmetricConfig":
         """Build from the two free angles; the fourth gap closes the ring."""
-        theta1 = _real(theta1, AngleDomainError)
-        theta2 = _real(theta2, AngleDomainError)
+        theta1 = real_float(theta1, AngleDomainError, "theta1")
+        theta2 = real_float(theta2, AngleDomainError, "theta2")
         return cls(theta1, theta2, TWO_PI - 2.0 * theta1 - theta2)
 
     def expand(self) -> AngleConfig:
@@ -184,7 +172,7 @@ def _residual_blocks(config: AngleConfig, masses: MassVector) -> List[float]:
             row = partial[np.argmax(bad)]
             hit = (row <= COLLISION_TOL) | (row >= TWO_PI - COLLISION_TOL)
             _kernel_at(float(row[np.argmax(hit)]))  # raises
-        terms = mu[i0:i1] * backend._f_array(partial)
+        terms = mu[i0:i1] * backend.f_eval(partial, np)
         rows[i0:i1] = np.cumsum(terms, axis=1)[:, -1]
     return rows.tolist()
 

@@ -17,6 +17,8 @@ from typing import Callable, List, Sequence
 from .exceptions import ConsistencyError, NoSignChangeError
 
 WIDTH_TOL = 1e-12
+# width target of every root the package prints (kernel, curve, catalog, theorems)
+ROOT_WIDTH_TOL = 1e-14
 RESID_TOL = 1e-10
 MAX_ITER = 200
 SCAN_STEPS = 2000
@@ -52,10 +54,13 @@ def bracket_root(
     Returns once the bracket width drops below ``width_tol`` or an exact
     zero is hit. ``converged`` is also granted when the final residual is
     within ``resid_tol`` even if the width target was not reached in
-    ``max_iter`` iterations.
+    ``max_iter`` iterations. ValueError unless both tolerances are finite
+    numbers, width_tol > 0 and resid_tol >= 0, and max_iter is an int
+    >= 1; NoSignChangeError when ``fn`` returns NaN.
     """
-    if not width_tol > 0.0 or not resid_tol >= 0.0 or max_iter < 1:
-        raise ValueError("tolerances must be positive and max_iter >= 1")
+    if not (_finite(width_tol) and width_tol > 0.0 and _finite(resid_tol) and resid_tol >= 0.0):
+        raise ValueError("tolerances must be finite, width_tol > 0 and resid_tol >= 0")
+    _check_count(max_iter, 1, "max_iter")
     lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if not lo < hi or not f_lo * f_hi < 0.0:
         raise NoSignChangeError(f"no strict sign change on [{lo}, {hi}]")
@@ -72,6 +77,9 @@ def bracket_root(
             if lo < xs < hi:
                 x = xs
         fx = fn(x)
+        if math.isnan(fx):
+            # NaN fails both sign tests and would silently become the new lo
+            raise NoSignChangeError(f"fn returned NaN at x = {x!r} inside [{lo!r}, {hi!r}]")
         if abs(fx) < abs(best_f):
             best_x, best_f = x, fx
         if fx == 0.0:
@@ -98,8 +106,18 @@ def converged_root(result: RootResult, what: str) -> float:
     return result.root
 
 
+def _finite(value: float) -> bool:
+    # a boolean is an int, and a finite one, but never a tolerance or a bound
+    return not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_count(value: int, least: int, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def _check_interval(lo: float, hi: float) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    if not (_finite(lo) and _finite(hi) and lo < hi):
         raise ValueError(f"scan interval requires finite lo < hi, got [{lo!r}, {hi!r}]")
 
 
@@ -161,10 +179,10 @@ def scan_brackets(
 ) -> List[Bracket]:
     """Sample ``fn`` on a uniform grid of n_steps cells and return every
     sign-change bracket. Empty list when there is no sign change;
-    ValueError unless lo and hi are finite and lo < hi."""
+    ValueError unless lo and hi are finite and lo < hi and n_steps is an
+    int >= 2."""
     _check_interval(lo, hi)
-    if n_steps < 2:
-        raise ValueError("n_steps must be at least 2")
+    _check_count(n_steps, 2, "n_steps")
     step = (hi - lo) / n_steps
     values = [fn(lo + k * step) for k in range(n_steps + 1)]
     return brackets_from_values(lo, hi, values)

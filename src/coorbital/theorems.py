@@ -20,10 +20,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .exceptions import ConsistencyError
 from .kernel import FIVE_PI_THIRD, PI_THIRD, TWO_PI, f_eval
 from .model import MassVector, SymmetricConfig, residual_four
-from .rootfind import bracket_root, converged_root, scan_brackets
+from .rootfind import ROOT_WIDTH_TOL, bracket_root, converged_root, scan_brackets
 
 BRACKET_INSET = 1e-9
-CASE_WIDTH_TOL = 1e-14
 RESIDUAL_GATE = 1e-9
 SQUARE_RESIDUAL_GATE = 1e-12
 GRID_POINTS = 2000
@@ -97,7 +96,7 @@ class CaseSolution:
 
 def _roots(fn, lo: float, hi: float, count: int, tag: str) -> List[float]:
     """The ``count`` roots of ``fn`` on (lo, hi), each refined to
-    CASE_WIDTH_TOL; any other number of sign changes is an error."""
+    ROOT_WIDTH_TOL; any other number of sign changes is an error."""
     brackets = scan_brackets(fn, lo + BRACKET_INSET, hi - BRACKET_INSET)
     if len(brackets) != count:
         raise ConsistencyError(
@@ -105,7 +104,7 @@ def _roots(fn, lo: float, hi: float, count: int, tag: str) -> List[float]:
             f"found {len(brackets)}"
         )
     return [
-        converged_root(bracket_root(fn, br, width_tol=CASE_WIDTH_TOL), tag)
+        converged_root(bracket_root(fn, br, width_tol=ROOT_WIDTH_TOL), tag)
         for br in brackets
     ]
 

@@ -1,5 +1,6 @@
-"""The numpy kernel against its scalar twin, and vectorized bracket
-extraction against the plain loop it replaced."""
+"""The kernel functions run with numpy against the same functions run
+with math, and vectorized bracket extraction against the plain loop it
+replaced."""
 import math
 
 import numpy as np
@@ -43,11 +44,11 @@ def test_curve_scan_bit_identical_to_scalar_on_reference_grids():
         )
 
 
-# (name, public function, numpy twin, scalar twin)
+# (name, public function, numpy path, math path)
 KERNEL_TWINS = [
-    ("f", kernel.f_eval, backend._f_array, backend.f_eval),
-    ("f'", kernel.f_prime, backend._f_prime_array, backend.f_prime),
-    ("f''", kernel.f_double_prime, backend._f_double_prime_array, backend.f_double_prime),
+    ("f", kernel.f_eval, lambda x: backend.f_eval(x, np), backend.f_eval),
+    ("f'", kernel.f_prime, lambda x: backend.f_prime(x, np), backend.f_prime),
+    ("f''", kernel.f_double_prime, lambda x: backend.f_double_prime(x, np), backend.f_double_prime),
 ]
 
 

@@ -110,9 +110,11 @@ def test_types_refuse_booleans_and_strings(bad):
         (lambda: trace_curve("D2", [1j]), AngleDomainError, "not a real number"),
         (lambda: f_eval(10**400), AngleDomainError, "too large for a float"),
         (lambda: MassVector((10**400,)), MassDomainError, "too large for a float"),
+        (lambda: trace_curve("D2", [10**400]), AngleDomainError, "too large for a float"),
     ],
     ids=["f_eval-complex", "f_eval-None", "MassVector-None", "AngleConfig-complex",
-         "from_pair-None", "trace_curve-complex", "f_eval-huge-int", "MassVector-huge-int"],
+         "from_pair-None", "trace_curve-complex", "f_eval-huge-int", "MassVector-huge-int",
+         "trace_curve-huge-int"],
 )
 def test_non_real_and_overflowing_values_raise_domain_errors(call, error, message):
     # float() raises TypeError or OverflowError on these; the API promises

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coorbital.curve import r_diff_pole
 from coorbital.exceptions import NoSignChangeError
 from coorbital.kernel import critical_points, f_prime
 from coorbital.rootfind import (
@@ -61,6 +62,30 @@ def test_rejects_bad_tolerances():
         bracket_root(fn, br, resid_tol=math.nan)
     with pytest.raises(ValueError):
         bracket_root(fn, br, max_iter=0)
+    with pytest.raises(ValueError):
+        bracket_root(fn, br, width_tol=math.inf)
+    with pytest.raises(ValueError):
+        bracket_root(fn, br, resid_tol=math.inf)
+    with pytest.raises(ValueError):
+        bracket_root(fn, br, width_tol=True)
+    with pytest.raises(ValueError):
+        bracket_root(fn, br, max_iter=2.5)
+    with pytest.raises(ValueError):
+        bracket_root(fn, br, max_iter=True)
+    with pytest.raises(ValueError):
+        scan_brackets(math.sin, 1.0, 2.0, 2.5)
+    # a boolean width reaches bracket_root through the curve's line roots
+    with pytest.raises(ValueError):
+        r_diff_pole(2.4, 2.5, True)
+
+
+def test_nan_step_raises_instead_of_moving_the_bracket():
+    # the secant's first step lands on 0.5, inside the NaN window; taking
+    # NaN as a same-sign value would make 0.5 the new lo and report a
+    # "root" near 0.875
+    fn = lambda t: math.nan if 0.2 < t < 0.8 else t - 0.5
+    with pytest.raises(NoSignChangeError, match="NaN at x = 0.5"):
+        bracket_root(fn, Bracket(0.0, 1.0, -0.5, 0.5))
 
 
 def test_exhaustion_reports_not_converged():
@@ -103,8 +128,9 @@ def test_scan_rejects_bad_interval():
 
 BAD_INTERVALS = pytest.mark.parametrize(
     "lo, hi",
-    [(1.0, math.nan), (math.nan, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0)],
-    ids=["nan-hi", "nan-lo", "reversed", "empty", "inf-hi", "inf-lo"],
+    [(1.0, math.nan), (math.nan, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+     (True, 4.0), (0.0, True)],
+    ids=["nan-hi", "nan-lo", "reversed", "empty", "inf-hi", "inf-lo", "bool-lo", "bool-hi"],
 )
 
 
