@@ -18,7 +18,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from . import backend
 from .exceptions import CatalogMismatchError, ConsistencyError
 from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI
-from .rootfind import ROOT_WIDTH_TOL, Bracket, bracket_root, converged_root, scan_brackets
+from .rootfind import ROOT_WIDTH_TOL, Bracket, bracket_root, converged_root, opposite_signs
+from .rootfind import scan_brackets
 from .theorems import solve_T32, solve_T33, solve_T34, solve_T36, solve_T37
 
 CATALOG_TOL = 1e-3
@@ -114,7 +115,7 @@ def _root_between(theta2: float, lo: float, hi: float, what: str) -> float:
     """Curve crossing refined from a direct endpoint bracket."""
     fn = lambda t: backend.curve_eval(t, theta2)
     f_lo, f_hi = fn(lo), fn(hi)
-    if not f_lo * f_hi < 0.0:
+    if not opposite_signs(f_lo, f_hi):
         raise ConsistencyError(
             f"{what}: no sign change on ({lo}, {hi}) at theta2={theta2}"
         )

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import numbers
+import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .catalog import CATALOG_TOL, build_catalog
@@ -41,8 +43,10 @@ from .rootfind import ROOT_WIDTH_TOL
 from .theorems import RESIDUAL_GATE, SOLVERS
 
 KERNEL_GRID_DELTA = 1e-4
-# kernel table rows evaluated per numpy call; bounds the live row block
-_KERNEL_BLOCK = 1024
+# rows per block: the kernel table evaluates this many nodes per numpy
+# call and the writers format this many records per pass, so it bounds
+# the rows held in memory at once
+_BLOCK_ROWS = 256
 VERIFY_THRESHOLD = 1e-8
 VERIFY_RENORM_LIMIT = 1e-9
 
@@ -101,7 +105,8 @@ def _json_text(manifest: RunManifest, data: object) -> str:
 
 def _json_value(value: object) -> str:
     """One JSON scalar, floats rounded to 12 significant digits; json.dumps
-    writes the rest, NaN and Infinity included.
+    writes the rest, NaN and Infinity included. _write_json calls it for
+    the cells of every block its float template cannot write.
 
     A float's 12-digit text outside exponent notation is already the
     shortest repr of the float it reads as, but for a missing ".0", so
@@ -126,32 +131,73 @@ def _target(out: Optional[str]) -> Iterator[TextIO]:
             yield fh
 
 
+def _blocks(
+    rows: Iterable[Sequence[object]],
+) -> Iterator[Tuple[List[Sequence[object]], bool]]:
+    """The rows in lists of up to _BLOCK_ROWS, each with a flag that is
+    True when every cell is exactly a float (numpy floats and other
+    subclasses take the cell-by-cell path)."""
+    it = iter(rows)
+    for block in iter(lambda: list(itertools.islice(it, _BLOCK_ROWS)), []):
+        yield block, set(map(type, itertools.chain.from_iterable(block))) == {float}
+
+
 def _write_csv(
     fh: TextIO, manifest: RunManifest, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> None:
+    """The manifest as "#" lines, the header, then the rows of len(header)
+    cells, a block at a time. A block of floats is formatted by one row
+    template and skips csv's quoting scan: 12-digit float text holds no
+    character that needs quoting. Other blocks go through csv.writer
+    over _fmt cells."""
     for line in _manifest_lines(manifest):
         fh.write(line + "\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
+    line = ",".join(["%.12g"] * len(header)) + "\n"
+    for block, floats in _blocks(rows):
+        if floats:
+            fh.write("".join(map(line.__mod__, map(tuple, block))))
+        else:
+            writer.writerows([_fmt(v) for v in row] for row in block)
 
 
 def _write_json(
     fh: TextIO, manifest: RunManifest, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> None:
     """The bytes of json.dumps({"manifest": ..., "data": [objects keyed by
-    header]}, indent=2, sort_keys=True) + "\n", written one object at a time."""
-    columns = [
-        (f"      {json.dumps(header[i])}: ", i)
-        for i in sorted(range(len(header)), key=header.__getitem__)
-    ]
+    header]}, indent=2, sort_keys=True) + "\n", written a block of objects
+    at a time through one object template in sorted key order.
+
+    A block of floats is formatted "%.12g" by the template. That text is
+    _json_value's exactly when each value holds one "." and no "e": inf,
+    nan, -0.0 and integral floats lack the ".", and "e" marks an exponent
+    form. Counting both in the block against the keys' own decides it.
+    Any other block goes through _json_value column by column."""
+    order = sorted(range(len(header)), key=header.__getitem__)
+    keys = [json.dumps(header[i]).replace("%", "%%") for i in order]
+
+    def template(spec: str) -> str:
+        return "    {\n" + ",\n".join(f"      {key}: {spec}" for key in keys) + "\n    }"
+
+    float_object, text_object = template("%.12g"), template("%s")
+    pick = operator.itemgetter(*order)
+    key_text = "".join(keys)
+    per_object = (key_text.count("e"), key_text.count(".") + len(keys))
     fh.write('{\n  "data": [')
-    empty = True
-    for row in rows:
-        fields = ",\n".join([key + _json_value(row[i]) for key, i in columns])
-        fh.write(("\n" if empty else ",\n") + "    {\n" + fields + "\n    }")
-        empty = False
-    fh.write("],\n" if empty else "\n  ],\n")
+    lead = "\n"
+    for block, floats in _blocks(rows):
+        if floats:
+            text = ",\n".join(map(float_object.__mod__, map(pick, block)))
+            counts = (text.count("e"), text.count("."))
+            floats = counts == tuple(len(block) * k for k in per_object)
+        if not floats:
+            columns = list(zip(*block))
+            cells = zip(*[map(_json_value, columns[i]) for i in order])
+            text = ",\n".join(map(text_object.__mod__, cells))
+        fh.write(lead + text)
+        lead = ",\n"
+    fh.write("],\n" if lead == "\n" else "\n  ],\n")
     meta = json.dumps(asdict(manifest), indent=2, sort_keys=True)
     fh.write('  "manifest": ' + meta.replace("\n", "\n  ") + "\n}\n")
 
@@ -163,7 +209,7 @@ def _emit_records(
     rows: Iterable[Sequence[object]],
 ) -> None:
     """Stream records as CSV rows or as JSON objects keyed by header,
-    each written as soon as it is produced."""
+    written a block of _BLOCK_ROWS records at a time."""
     write = _write_json if args.format == "json" else _write_csv
     with _target(args.out) as fh:
         write(fh, manifest, header, rows)
@@ -171,10 +217,10 @@ def _emit_records(
 
 def _kernel_rows(n: int, step: float) -> Iterator[tuple]:
     """Rows (theta, f, f', f'') at the nodes KERNEL_GRID_DELTA + k*step,
-    k < n, evaluated on numpy blocks of _KERNEL_BLOCK nodes."""
+    k < n, evaluated on numpy blocks of _BLOCK_ROWS nodes."""
     import numpy as np
-    for start in range(0, n, _KERNEL_BLOCK):
-        theta = KERNEL_GRID_DELTA + np.arange(start, min(start + _KERNEL_BLOCK, n)) * step
+    for start in range(0, n, _BLOCK_ROWS):
+        theta = KERNEL_GRID_DELTA + np.arange(start, min(start + _BLOCK_ROWS, n)) * step
         yield from zip(
             theta.tolist(),
             f_eval(theta).tolist(),

@@ -29,7 +29,7 @@ from .exceptions import (
 from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI, is_real_number, real_float
 from .model import SymmetricConfig, kernel_values
 from .rootfind import Bracket, RootResult, bracket_root, brackets_from_values
-from .rootfind import ROOT_WIDTH_TOL, converged_root
+from .rootfind import ROOT_WIDTH_TOL, converged_root, opposite_signs
 
 BOUNDARY_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
@@ -198,6 +198,8 @@ def r_diff_pole(
 ) -> float:
     """theta2 where f(theta4) crosses zero along the middle-band branch,
     sending r_diff through a pole between the bracketing grid rows.
+    width_tol is the width target of the pole and of the line roots
+    beneath it.
 
     AngleDomainError unless pi/3 < theta2_lo < theta2_hi < pi, each end
     line holds exactly one branch root and f(theta4) changes sign
@@ -221,12 +223,12 @@ def r_diff_pole(
     # a bad window is the caller's input; only interior steps are internal
     f_lo = f4_on_branch(theta2_lo, AngleDomainError)
     f_hi = f4_on_branch(theta2_hi, AngleDomainError)
-    if not f_lo * f_hi < 0.0:
+    if not opposite_signs(f_lo, f_hi):
         raise AngleDomainError(f"{window}: f(theta4) does not change sign, no pole inside")
     res = bracket_root(
         f4_on_branch,
         Bracket(theta2_lo, theta2_hi, f_lo, f_hi),
-        width_tol=1e-12,
+        width_tol=width_tol,
     )
     return converged_root(res, "r_diff pole")
 

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Tuple, Union
 from . import backend
 from .backend import TWO_PI
 from .exceptions import AngleDomainError, ConsistencyError
-from .rootfind import ROOT_WIDTH_TOL, Bracket, bracket_root, converged_root
+from .rootfind import ROOT_WIDTH_TOL, Bracket, bracket_root, converged_root, opposite_signs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -150,7 +150,7 @@ def critical_points() -> KernelProfile:
     hi = 2.0 * math.pi / 3.0
     f_lo = backend.f_prime(lo)
     f_hi = backend.f_prime(hi)
-    if not f_lo * f_hi < 0.0:
+    if not opposite_signs(f_lo, f_hi):
         raise ConsistencyError("derivative does not change sign on [3*pi/5, 2*pi/3]")
     res = bracket_root(
         backend.f_prime,

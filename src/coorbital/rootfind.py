@@ -26,7 +26,8 @@ SCAN_STEPS = 2000
 
 @dataclass(frozen=True)
 class Bracket:
-    """An interval with a strict sign change: lo < hi and f_lo*f_hi < 0."""
+    """An interval with a strict sign change: lo < hi and f_lo, f_hi of
+    opposite sign."""
 
     lo: float
     hi: float
@@ -62,7 +63,7 @@ def bracket_root(
         raise ValueError("tolerances must be finite, width_tol > 0 and resid_tol >= 0")
     _check_count(max_iter, 1, "max_iter")
     lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
-    if not lo < hi or not f_lo * f_hi < 0.0:
+    if not lo < hi or not opposite_signs(f_lo, f_hi):
         raise NoSignChangeError(f"no strict sign change on [{lo}, {hi}]")
 
     best_x, best_f = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
@@ -84,7 +85,7 @@ def bracket_root(
             best_x, best_f = x, fx
         if fx == 0.0:
             return RootResult(x, 0.0, iterations, True)
-        if f_lo * fx < 0.0:
+        if opposite_signs(f_lo, fx):
             hi, f_hi = x, fx
         else:
             lo, f_lo = x, fx
@@ -93,6 +94,14 @@ def bracket_root(
         if hi - lo <= width_tol:
             return RootResult(best_x, best_f, iterations, True)
     return RootResult(best_x, best_f, iterations, abs(best_f) <= resid_tol)
+
+
+def opposite_signs(a, b):
+    """True where a and b are nonzero and of opposite sign, for floats and
+    ndarrays alike. A product test a*b < 0 fails when the product
+    underflows to zero, as 1e-200 * -1e-200 does; this does not. NaN has
+    no sign."""
+    return (a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0)
 
 
 def converged_root(result: RootResult, what: str) -> float:
@@ -146,12 +155,14 @@ def brackets_from_values(
     if isinstance(values, list):
         v = values
         node_root = [abs(x) < resid_tol for x in v]
-        candidates = [i for i in range(len(v) - 1) if node_root[i] or v[i] * v[i + 1] < 0.0]
+        candidates = [
+            i for i in range(len(v) - 1) if node_root[i] or opposite_signs(v[i], v[i + 1])
+        ]
     else:
         import numpy as np
         v = np.asarray(values, dtype=np.float64)
         node_root = np.abs(v) < resid_tol
-        candidates = np.flatnonzero(node_root[:-1] | (v[:-1] * v[1:] < 0.0)).tolist()
+        candidates = np.flatnonzero(node_root[:-1] | opposite_signs(v[:-1], v[1:])).tolist()
     n_cells = len(v) - 1
     if n_cells < 1:
         return []
@@ -163,7 +174,7 @@ def brackets_from_values(
         if node_root[i]:
             if 0 < i and not node_root[i - 1] and not node_root[i + 1]:
                 v_prev, v_next = float(v[i - 1]), float(v[i + 1])
-                if v_prev * v_next < 0.0:
+                if opposite_signs(v_prev, v_next):
                     out.append(Bracket(lo + (i - 1) * step, lo + (i + 1) * step, v_prev, v_next))
             continue
         if not node_root[i + 1]:

@@ -12,6 +12,7 @@ import tempfile
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -388,14 +389,18 @@ CELLS = st.one_of(
     CELL_TEXT,
 )
 NP_INT_CELLS = CELLS | st.integers(-2**63, 2**63 - 1).map(np.int64)
+# mostly plain floats, so that whole blocks take the writers' float path
+FLOAT_CELLS = st.floats(-1e6, 1e6) | st.floats() | st.sampled_from(ODD_FLOATS)
 
 
 @st.composite
 def records(draw):
-    keys = st.text(alphabet=st.sampled_from(list("abz_θλé日,\" 1")), min_size=1, max_size=6)
+    # "e" and "." are the letters the JSON float path counts; "%" is the
+    # templates' own
+    keys = st.text(alphabet=st.sampled_from(list("abz_θλé日,\" 1%e.")), min_size=1, max_size=6)
     header = tuple(draw(st.lists(keys, min_size=1, max_size=6, unique=True)))
-    # np.int64 makes most JSON examples a TypeError, so only half may hold it
-    cells = NP_INT_CELLS if draw(st.booleans()) else CELLS
+    # np.int64 makes most JSON examples a TypeError, so only a third may hold it
+    cells = draw(st.sampled_from([CELLS, NP_INT_CELLS, FLOAT_CELLS]))
     rows = draw(st.lists(st.tuples(*[cells] * len(header)), max_size=20))
     return header, rows
 
@@ -406,17 +411,44 @@ def test_streamed_records_equal_the_built_text(record, fmt):
     header, rows = record
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / f"records.{fmt}")
-        try:
-            expected = _reference_text(fmt, MANIFEST, header, rows).encode("utf-8")
-        except (TypeError, UnicodeEncodeError) as exc:
-            # json cannot encode np.int64, and UTF-8 cannot encode a lone
-            # surrogate in a CSV cell; the streaming writer refuses both too
-            for target in (None, out):
-                with pytest.raises(type(exc)):
-                    _streamed_bytes(fmt, MANIFEST, header, rows, target)
-            return
-        assert _streamed_bytes(fmt, MANIFEST, header, rows) == expected
-        assert _streamed_bytes(fmt, MANIFEST, header, rows, out) == expected
+        # with 3 rows per block, the up to 20 rows span blocks that mix
+        # float-only blocks and others
+        for block_rows in (cli._BLOCK_ROWS, 3):
+            with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+                _check_streamed_bytes(fmt, header, rows, out)
+
+
+def _check_streamed_bytes(fmt, header, rows, out):
+    try:
+        expected = _reference_text(fmt, MANIFEST, header, rows).encode("utf-8")
+    except (TypeError, UnicodeEncodeError) as exc:
+        # json cannot encode np.int64, and UTF-8 cannot encode a lone
+        # surrogate in a CSV cell; the streaming writer refuses both too
+        for target in (None, out):
+            with pytest.raises(type(exc)):
+                _streamed_bytes(fmt, MANIFEST, header, rows, target)
+        return
+    assert _streamed_bytes(fmt, MANIFEST, header, rows) == expected
+    assert _streamed_bytes(fmt, MANIFEST, header, rows, out) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "odd",
+    [1.5e-5, 2.5e13, 999999999999.5, -0.0, 3.0, math.nan, -math.inf, np.float64(0.25), True],
+    ids=["small-exponent", "large-exponent", "rounds-to-1e12", "minus-zero", "integral",
+         "nan", "minus-inf", "np-float64", "bool"],
+)
+def test_odd_cell_in_a_later_block_of_a_float_column(monkeypatch, tmp_path, fmt, odd):
+    # the first two blocks are plain floats; the odd cell sits in the third
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    header = ("theta", "f")
+    rows = [(0.125 * k + 0.3, -1.5 / (k + 1)) for k in range(8)]
+    rows[7] = (rows[7][0], odd)
+    expected = _reference_text(fmt, MANIFEST, header, rows).encode("utf-8")
+    assert _streamed_bytes(fmt, MANIFEST, header, rows) == expected
+    out = str(tmp_path / f"records.{fmt}")
+    assert _streamed_bytes(fmt, MANIFEST, header, rows, out) == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -433,9 +465,24 @@ def test_streamed_records_edge_cases(tmp_path, fmt, rows):
     assert _streamed_bytes(fmt, MANIFEST, header, rows, out) == expected
 
 
+def test_plain_float_blocks_skip_the_per_cell_json_path(monkeypatch):
+    # keys holding the letters the float path counts must not push a
+    # plain block onto the slow path
+    def per_cell(value):
+        raise AssertionError(f"_json_value called for {value!r}")
+
+    header = ("theta", "f.e", "n")
+    rows = [(0.125 * k + 0.3, -1.5 / (k + 1), 1e-4 + k) for k in range(7)]
+    expected = _reference_text("json", MANIFEST, header, rows).encode("utf-8")
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(cli, "_json_value", per_cell)
+    assert _streamed_bytes("json", MANIFEST, header, rows) == expected
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_kernel_table_memory_does_not_grow_with_rows(tmp_path, fmt):
-    # 20000 rows held at once take several MB; streamed, only one row is live
+    # 20000 rows held at once take several MB; streamed, only one block of
+    # rows is live
     out = tmp_path / f"kernel.{fmt}"
     tracemalloc.start()
     try:
@@ -464,8 +511,8 @@ def _reference_kernel_rows(steps):
     return ((t, kernel.f_eval(t), kernel.f_prime(t), kernel.f_double_prime(t)) for t in thetas)
 
 
-# block edges: 1024 rows per block, so one short block, exactly one
-# block, one block plus a single row, and many blocks with a partial one
+# block edges: 256 rows per block, so one short block, blocks ending in a
+# short one, full blocks only, a last block of one row, and many blocks
 @pytest.mark.parametrize("steps", [2, 1023, 1024, 1025, 30011])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_kernel_table_bytes_equal_the_scalar_reference(monkeypatch, tmp_path, fmt, steps):

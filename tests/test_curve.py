@@ -304,6 +304,26 @@ def test_r_diff_pole_location():
     assert abs(pole - solve_T37().config.theta2) < 1e-9
 
 
+def test_r_diff_pole_honours_width_tol(monkeypatch):
+    reference = r_diff_pole(width_tol=1e-14)
+    tols = (1e-2, 1e-4, 1e-8, 1e-12)
+    gaps = [abs(r_diff_pole(width_tol=tol) - reference) for tol in tols]
+    assert gaps == sorted(gaps, reverse=True)
+    assert all(gap <= tol for gap, tol in zip(gaps, tols))
+    # the pole's own bracket is refined to the caller's width, not a fixed one
+    widths = []
+    refine = curve.bracket_root
+
+    def spy(fn, bracket, **kwargs):
+        if fn.__name__ == "f4_on_branch":
+            widths.append(kwargs["width_tol"])
+        return refine(fn, bracket, **kwargs)
+
+    monkeypatch.setattr(curve, "bracket_root", spy)
+    r_diff_pole(width_tol=1e-13)
+    assert widths == [1e-13]
+
+
 @pytest.mark.parametrize(
     "window",
     [

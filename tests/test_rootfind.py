@@ -1,6 +1,7 @@
 """Bracketed root finder and scan utilities."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,6 +168,21 @@ def test_node_zero_yields_spanning_bracket():
     assert (found[0].lo, found[0].hi) == (0.0, 1.0)
     res = bracket_root(fn, found[0])
     assert abs(res.root - 0.5) <= ROOT_TOL
+
+
+def test_sign_change_of_tiny_values_is_found():
+    # values near 1e-200 multiply to 0.0, so a product test misses their
+    # sign change; comparing signs does not
+    fn = lambda x: 1e-200 * (x - 0.3)
+    res = bracket_root(fn, Bracket(0.0, 1.0, fn(0.0), fn(1.0)))
+    assert res.converged
+    assert abs(res.root - 0.3) <= ROOT_TOL
+    values = [fn(k / 4.0) for k in range(5)]
+    for samples in (values, np.array(values)):
+        found = brackets_from_values(0.0, 1.0, samples, resid_tol=0.0)
+        assert [(b.lo, b.hi, b.f_lo, b.f_hi) for b in found] == [
+            (0.25, 0.5, values[1], values[2])
+        ]
 
 
 def test_deterministic_reruns():
