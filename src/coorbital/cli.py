@@ -43,10 +43,12 @@ from .rootfind import ROOT_WIDTH_TOL
 from .theorems import RESIDUAL_GATE, SOLVERS
 
 KERNEL_GRID_DELTA = 1e-4
-# rows per block: the kernel table evaluates this many nodes per numpy
-# call and the writers format this many records per pass, so it bounds
-# the rows held in memory at once
+# records the writers format per pass, so it bounds the rows held in
+# memory at once
 _BLOCK_ROWS = 256
+# nodes per numpy call of the kernel table: numpy's cost per call, not
+# per node, dominates blocks much smaller than this
+_KERNEL_BLOCK = 1024
 VERIFY_THRESHOLD = 1e-8
 VERIFY_RENORM_LIMIT = 1e-9
 
@@ -217,10 +219,10 @@ def _emit_records(
 
 def _kernel_rows(n: int, step: float) -> Iterator[tuple]:
     """Rows (theta, f, f', f'') at the nodes KERNEL_GRID_DELTA + k*step,
-    k < n, evaluated on numpy blocks of _BLOCK_ROWS nodes."""
+    k < n, evaluated on numpy blocks of _KERNEL_BLOCK nodes."""
     import numpy as np
-    for start in range(0, n, _BLOCK_ROWS):
-        theta = KERNEL_GRID_DELTA + np.arange(start, min(start + _BLOCK_ROWS, n)) * step
+    for start in range(0, n, _KERNEL_BLOCK):
+        theta = KERNEL_GRID_DELTA + np.arange(start, min(start + _KERNEL_BLOCK, n)) * step
         yield from zip(
             theta.tolist(),
             f_eval(theta).tolist(),

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -511,8 +512,10 @@ def _reference_kernel_rows(steps):
     return ((t, kernel.f_eval(t), kernel.f_prime(t), kernel.f_double_prime(t)) for t in thetas)
 
 
-# block edges: 256 rows per block, so one short block, blocks ending in a
-# short one, full blocks only, a last block of one row, and many blocks
+# block edges: the kernel is evaluated 1024 nodes and written 256 rows at
+# a time, so at both sizes the steps give one short block (or blocks
+# ending in a short one), full blocks only, a last block of one row, and
+# many blocks
 @pytest.mark.parametrize("steps", [2, 1023, 1024, 1025, 30011])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_kernel_table_bytes_equal_the_scalar_reference(monkeypatch, tmp_path, fmt, steps):
@@ -640,3 +643,56 @@ def test_only_array_paths_import_numpy(tmp_path, argv, loads_numpy):
     rc, loaded = json.loads(out.stdout)
     assert rc == (0 if argv else None)
     assert loaded is loads_numpy
+
+
+# Runs in a fresh interpreter: runs `kernel --steps 3 --out F` through the
+# process entry (as `python -m coorbital` does) or through cli.main, and
+# prints the exit code, OPENBLAS_NUM_THREADS afterwards, whether numpy got
+# loaded and the number of threads (None where /proc/self/task is absent).
+ENTRY_PROBE = """
+import json, os, runpy, sys
+path, out = sys.argv[1:]
+argv = ["kernel", "--steps", "3", "--out", out]
+if path == "entry":
+    sys.argv = ["coorbital", *argv]
+    try:
+        runpy.run_module("coorbital", run_name="__main__")
+    except SystemExit as exc:
+        rc = exc.code
+else:
+    from coorbital import cli
+    rc = cli.main(argv)
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([rc, os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules, threads]))
+"""
+
+
+@pytest.mark.parametrize(
+    "path, preset, expected",
+    [("entry", None, "1"), ("entry", "2", "2"), ("cli.main", None, None)],
+    ids=["entry-pins", "entry-keeps-preset", "cli-main-leaves-unset"],
+)
+def test_process_entry_pins_blas_to_one_thread(tmp_path, path, preset, expected):
+    # Only the process entry sets the variable, and only when it is unset;
+    # the pinned launch loads numpy and still runs on one thread.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = tmp_path / "kernel.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE, path, str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, value, loaded, threads = json.loads(proc.stdout)
+    assert (rc, value, loaded) == (0, expected, True)
+    assert out.read_text(encoding="utf-8").startswith("# coorbital kernel")
+    if expected == "1" and threads is not None:
+        assert threads == 1
+
+
+def test_console_script_takes_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"coorbital": "coorbital.__main__:main"}
