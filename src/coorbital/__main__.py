@@ -2,7 +2,7 @@ import os
 import sys
 
 # numpy's bundled OpenBLAS starts a pool of worker threads when it loads,
-# and each spins before it sleeps, but the CLI never calls BLAS or LAPACK.
+# and each spins before it sleeps, but the package never calls BLAS or LAPACK.
 # This module is the process entry (python -m coorbital and the console
 # script) and `import coorbital` never loads numpy (pinned by
 # tests/test_cli.py::test_only_array_paths_import_numpy), so BLAS is held

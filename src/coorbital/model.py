@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 
 ANGLE_SUM_TOL = 1e-12
 RANK_TOL = 1e-9
-CANONICAL_TOL = 1e-9
 # kernel terms per block of residual_general rows; bounds its temporaries
 _BLOCK_TERMS = 8192
 
@@ -193,23 +192,27 @@ def residual_four(sym: SymmetricConfig, masses: MassVector) -> List[float]:
 
 @dataclass(frozen=True, eq=False)
 class MassMatrix:
-    """Antisymmetric 4x4 matrix M with M @ mu = residual_four(sym, mu)."""
+    """Antisymmetric 4x4 matrix M with M @ mu = residual_four(sym, mu).
+
+    Its Pfaffian M01*M23 - M02*M13 + M03*M12 = f1*f1 - f12*f12 - f2*f4
+    is the curve function C, in curve_eval's operation order, so
+    det M = C**2 and M is singular exactly on the curve."""
 
     entries: np.ndarray
 
 
+def _pattern(f1: float, f2: float, f4: float, f12: float) -> List[List[float]]:
+    return [
+        [0.0, f1, f12, -f4],
+        [-f1, 0.0, f2, f12],
+        [-f12, -f2, 0.0, f1],
+        [f4, -f12, -f1, 0.0],
+    ]
+
+
 def mass_matrix(sym: SymmetricConfig) -> MassMatrix:
     import numpy as np
-    f1, f2, f4, f12 = kernel_values(sym)
-    entries = np.array(
-        [
-            [0.0, f1, f12, -f4],
-            [-f1, 0.0, f2, f12],
-            [-f12, -f2, 0.0, f1],
-            [f4, -f12, -f1, 0.0],
-        ]
-    )
-    return MassMatrix(entries)
+    return MassMatrix(np.array(_pattern(*kernel_values(sym))))
 
 
 def coefficient_matrix(masses: MassVector) -> np.ndarray:
@@ -243,36 +246,38 @@ class NullSpaceResult:
 def positive_null_masses(M: MassMatrix, rank_tol: float = RANK_TOL) -> NullSpaceResult:
     """Recover admissible masses as positive null vectors of M.
 
-    The rank is 4 less the number of singular values at or below rank_tol
-    times the largest; their right singular vectors form the
-    orthonormal null-space basis. M must be a finite 4x4 array, else
-    MassDomainError. The canonical representative fixes mu2 = mu3 = 1/2;
-    if that vector is not strictly positive, masses is None and only the
-    basis is returned.
+    M must be mass_matrix's pattern of finite f1, f2, f4, f12, else
+    MassDomainError. Its singular values are (a, a, b, b), with a*b = |C|
+    for C = Pf(M) and a**2 + b**2 = 2*f1**2 + 2*f12**2 + f2**2 + f4**2.
+    Those at or below rank_tol * a are null: rank 2 when |C| <=
+    rank_tol * a**2, rank 0 when also a <= rank_tol * a. Rank 2 gives the
+    orthonormal basis (p, q, q, p), (r, w, -w, -r) and, when
+    lam = p/(2q) > 0, the canonical masses (lam, 1/2, 1/2, lam). Rank 0
+    gives the identity basis and no masses, since mu1 and mu4 are free.
     """
     import numpy as np
     entries = np.asarray(M.entries, dtype=float)
-    # LAPACK's SVD may never return on a non-finite matrix
-    if entries.shape != (4, 4) or not np.all(np.isfinite(entries)):
-        raise MassDomainError("mass matrix must be a finite 4x4 array")
-    _, sing, vt = np.linalg.svd(entries)
-    rank = 4 - int(np.count_nonzero(sing <= rank_tol * sing[0]))
-    if rank == 4:
-        raise RankDeficiencyAbsentError(
-            "mass matrix has trivial null space; no admissible masses"
-        )
-    basis = vt[rank:].T
-
-    # canonical representative: coefficients c with (basis @ c)[1:3] = 1/2
-    constraint = basis[1:3, :]
-    target = np.array([0.5, 0.5])
-    coeffs, *_ = np.linalg.lstsq(constraint, target, rcond=None)
-    mu = basis @ coeffs
-    masses: Optional[MassVector] = None
-    if (
-        abs(mu[1] - 0.5) <= CANONICAL_TOL
-        and abs(mu[2] - 0.5) <= CANONICAL_TOL
-        and bool(np.all(mu > 0.0))
-    ):
-        masses = MassVector(tuple(float(m) for m in mu))
-    return NullSpaceResult(rank, basis, masses)
+    if entries.shape != (4, 4):
+        raise MassDomainError("mass matrix must be a 4x4 array")
+    rows = entries.tolist()
+    f1, f12, f4, f2 = rows[0][1], rows[0][2], -rows[0][3], rows[1][2]
+    if not all(map(math.isfinite, (f1, f2, f4, f12))) or rows != _pattern(f1, f2, f4, f12):
+        raise MassDomainError("mass matrix must be mass_matrix's pattern of finite values")
+    # an exact power-of-two scale: no square overflows and no returned bit changes
+    scale = math.frexp(max(abs(f1), abs(f2), abs(f4), abs(f12)))[1]
+    f1, f2, f4, f12 = (math.ldexp(f, -scale) for f in (f1, f2, f4, f12))
+    pf = f1 * f1 - f12 * f12 - f2 * f4
+    s = 2.0 * f1 * f1 + 2.0 * f12 * f12 + f2 * f2 + f4 * f4
+    a2 = 0.5 * (s + math.sqrt(max(s * s - 4.0 * pf * pf, 0.0)))
+    if not abs(pf) <= rank_tol * a2:
+        raise RankDeficiencyAbsentError("mass matrix has trivial null space; no admissible masses")
+    if a2 <= rank_tol * a2:
+        return NullSpaceResult(0, np.eye(4), None)
+    # each null vector from the larger of its two row solutions, which agree on the curve
+    p, q = max((f2, f1 - f12), (f1 + f12, f4), key=lambda c: math.hypot(*c))
+    r, w = max((-f2, f1 + f12), (f12 - f1, f4), key=lambda c: math.hypot(*c))
+    u, v = (p, q, q, p), (r, w, -w, -r)
+    basis = np.array([u, v]).T / [math.hypot(*u), math.hypot(*v)]
+    lam = p / (2.0 * q) if q else 0.0
+    masses = MassVector((lam, 0.5, 0.5, lam)) if 0.0 < lam < math.inf else None
+    return NullSpaceResult(2, basis, masses)

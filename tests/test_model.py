@@ -1,10 +1,9 @@
 """Ring model: residuals, mass matrix, null-space mass recovery."""
 import math
 import random
-import subprocess
-import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +19,7 @@ from coorbital.exceptions import (
 from coorbital.kernel import COLLISION_TOL, f_eval
 from coorbital.model import (
     AngleConfig,
+    MassMatrix,
     MassVector,
     SymmetricConfig,
     coefficient_matrix,
@@ -372,6 +372,39 @@ def test_determinant_is_squared_curve_value():
         checked += 1
 
 
+def _svd_null_space(entries, rank_tol):
+    """Reference rank and null-space basis from LAPACK's SVD: the rank is
+    4 less the number of singular values at or below rank_tol times the
+    largest."""
+    _, sing, vt = np.linalg.svd(entries)
+    rank = 4 - int(np.count_nonzero(sing <= rank_tol * sing[0]))
+    return rank, vt[rank:].T
+
+
+def _closed_null_space(entries, rank_tol):
+    try:
+        result = positive_null_masses(MassMatrix(entries), rank_tol)
+    except RankDeficiencyAbsentError:
+        return 4, None
+    if result.rank == 0:
+        assert np.array_equal(result.basis, np.eye(4)) and result.masses is None
+    return result.rank, result.basis
+
+
+def _near_curve_matrices(traced_tables):
+    return [
+        mass_matrix(SymmetricConfig.from_pair(pt.theta1 + shift, pt.theta2)).entries
+        for pts in traced_tables.values()
+        for pt in pts
+        for shift in (0.0, 1e-9, 1e-6)
+    ]
+
+
+def _strip_matrices(n):
+    rng = random.Random(SEED + 5)
+    return [mass_matrix(_random_sym(rng)).entries for _ in range(n)]
+
+
 def test_null_masses_on_traced_points():
     # table rows round theta1 to 4 decimals, so snap to the curve first
     for theta2, ref_ratio in ((1.5, 1.0406), (0.5, 1.8989)):
@@ -382,10 +415,95 @@ def test_null_masses_on_traced_points():
         )
         assert result.rank == 2
         mus = result.masses.mus
-        assert abs(mus[1] - mus[2]) < 1e-9
-        assert abs(mus[1] + mus[2] - 1.0) < 1e-9
-        assert abs(mus[0] - mus[3]) < 1e-9
+        assert mus[1] == mus[2] == 0.5
+        assert mus[0] == mus[3]
         assert abs(mus[0] / mus[1] - ref_ratio) <= 0.01 * ref_ratio
+
+
+def test_pfaffian_is_curve_value_bitwise(traced_tables):
+    points = [(pt.theta1, pt.theta2) for pts in traced_tables.values() for pt in pts]
+    rng = random.Random(SEED + 6)
+    points += [(sym.theta1, sym.theta2) for sym in (_random_sym(rng) for _ in range(1000))]
+    for t1, t2 in points:
+        M = mass_matrix(SymmetricConfig.from_pair(t1, t2)).entries
+        pf = M[0, 1] * M[2, 3] - M[0, 2] * M[1, 3] + M[0, 3] * M[1, 2]
+        assert pf == curve_eval(t1, t2)
+
+
+@pytest.mark.parametrize("rank_tol", [1e-9, 1e-6, 1e-3, 0.0, -1.0, 1.0, math.inf, math.nan])
+def test_null_masses_rank_matches_svd(rank_tol, traced_tables):
+    matrices = _strip_matrices(2000)
+    # a traced point can have C == 0 exactly, which only rank_tol <= 0
+    # tells apart from the SVD's small nonzero b
+    if rank_tol > 0.0:
+        matrices += _near_curve_matrices(traced_tables)
+    for M in matrices:
+        assert _closed_null_space(M, rank_tol)[0] == _svd_null_space(M, rank_tol)[0]
+
+
+@pytest.mark.parametrize("rank_tol", [1e-9, 1e-6, 1e-3])
+def test_null_basis_residual_within_twice_svd(rank_tol, traced_tables):
+    worst_closed = worst_svd = 0.0
+    for M in _strip_matrices(2000) + _near_curve_matrices(traced_tables):
+        rank, basis = _closed_null_space(M, rank_tol)
+        if rank != 2:
+            continue
+        scale = np.max(np.abs(M))
+        assert np.allclose(basis.T @ basis, np.eye(2), rtol=0.0, atol=1e-15)
+        worst_closed = max(worst_closed, np.max(np.abs(M @ basis)) / scale)
+        ref = _svd_null_space(M, rank_tol)[1]
+        worst_svd = max(worst_svd, np.max(np.abs(M @ ref)) / scale)
+    assert worst_closed <= 2.0 * worst_svd
+
+
+def _f_mp(theta):
+    return mpmath.sin(theta) * (1 - 1 / (8 * abs(mpmath.sin(theta / 2)) ** 3))
+
+
+def _mass_ratio_mp(theta1, theta2):
+    """mu1/mu2 at the root of C nearest theta1 on the theta2 line, from the
+    kernel's closed form at 40 digits: (f1 + f12)/f4."""
+    with mpmath.workdps(40):
+        t2 = mpmath.mpf(theta2)
+
+        def kernels(t1):
+            return _f_mp(t1), _f_mp(t2), _f_mp(2 * mpmath.pi - 2 * t1 - t2), _f_mp(t1 + t2)
+
+        def curve(t1):
+            f1, f2, f4, f12 = kernels(t1)
+            return f1 * f1 - f12 * f12 - f2 * f4
+
+        f1, _, f4, f12 = kernels(mpmath.findroot(curve, mpmath.mpf(theta1)))
+        return (f1 + f12) / f4
+
+
+def test_null_masses_match_mpmath():
+    windows = {"D1": (0.05, 1.0, 89), "D2": (1.1, 3.1, 196), "D3": (3.2, 5.2, 61)}
+    checked = 0
+    for region, (lo, hi, named) in windows.items():
+        # the named lines hold the worst SVD-path errors: D2 near catalog
+        # point M, where f4 is about -4.6e-4, and D3 near G
+        grid = np.linspace(lo, hi, 300)
+        for pt in trace_curve(region, sorted({grid[named], *grid[::15]})):
+            masses = positive_null_masses(
+                mass_matrix(SymmetricConfig.from_pair(pt.theta1, pt.theta2))
+            ).masses
+            ref = _mass_ratio_mp(pt.theta1, pt.theta2)
+            assert abs((masses.mus[0] / masses.mus[1] - ref) / ref) <= 1e-13
+            checked += 1
+    assert checked >= 60
+
+
+def test_null_masses_invariant_under_power_of_two_scale(traced_tables):
+    for pt in traced_tables["D2"]:
+        M = mass_matrix(SymmetricConfig.from_pair(pt.theta1, pt.theta2)).entries
+        plain = positive_null_masses(MassMatrix(M))
+        # squares of these entries overflow, and of these underflow
+        for factor in (2.0**600, 2.0**-600):
+            scaled = positive_null_masses(MassMatrix(M * factor))
+            assert scaled.rank == plain.rank == 2
+            assert np.array_equal(scaled.basis, plain.basis)
+            assert scaled.masses.mus == plain.masses.mus
 
 
 def test_null_masses_raise_off_curve():
@@ -400,23 +518,23 @@ def test_null_masses_nan_rank_tol_keeps_full_rank():
         )
 
 
+def _two_block_matrix(x):
+    return np.array(
+        [[0.0, x, 0.0, 0.0], [-x, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]
+    )
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_null_masses_reject_non_finite_matrix(bad):
-    # a subprocess with a timeout, because the SVD this check guards may
-    # never return on a non-finite matrix
-    code = f"""
-import numpy as np
-from coorbital.exceptions import MassDomainError
-from coorbital.model import MassMatrix, positive_null_masses
-x = float("{bad}")
-M = np.array([[0.0, x, 0.0, 0.0], [-x, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
-try:
-    positive_null_masses(MassMatrix(M))
-except MassDomainError:
-    print("MassDomainError")
-"""
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "MassDomainError\n"
+    with pytest.raises(MassDomainError):
+        positive_null_masses(MassMatrix(_two_block_matrix(float(bad))))
+
+
+def test_null_masses_reject_matrix_off_the_pattern():
+    # x = 1 is mass_matrix's pattern (f1 = 1, the rest 0); x = 2 breaks
+    # M[2, 3] = M[0, 1]
+    for entries in (_two_block_matrix(2.0), np.zeros((3, 3))):
+        with pytest.raises(MassDomainError):
+            positive_null_masses(MassMatrix(entries))
+    with pytest.raises(RankDeficiencyAbsentError):
+        positive_null_masses(MassMatrix(_two_block_matrix(1.0)))
