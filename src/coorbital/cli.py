@@ -25,6 +25,7 @@ import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
@@ -446,7 +447,11 @@ def cmd_special_points(args: argparse.Namespace) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. Subcommands bind no
+    handler: main looks up cmd_<command> when it runs, so a handler
+    rebound after the first call still takes effect."""
     parser = argparse.ArgumentParser(
         prog="coorbital",
         description="Symmetric central configurations of a four-satellite "
@@ -459,13 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.add_argument("--steps", type=int, default=1000, help="grid rows (default 1000)")
     p_kernel.add_argument("--format", choices=("csv", "json"), default="csv")
     p_kernel.add_argument("--out", default=None, help="output path (default stdout)")
-    p_kernel.set_defaults(func=cmd_kernel)
 
     p_theorem = sub.add_parser("theorem", help="solve one degenerate case")
     p_theorem.add_argument("--tag", required=True, choices=tuple(SOLVERS))
     p_theorem.add_argument("--format", choices=("csv", "json"), default="json")
     p_theorem.add_argument("--out", default=None)
-    p_theorem.set_defaults(func=cmd_theorem)
 
     p_trace = sub.add_parser("trace", help="trace curve points across a theta2 grid")
     p_trace.add_argument("--region", required=True, choices=("D1", "D2", "D3"))
@@ -476,24 +479,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--steps", type=int, required=True, help="grid points in the range")
     p_trace.add_argument("--format", choices=("csv", "json"), default="csv")
     p_trace.add_argument("--out", default=None)
-    p_trace.set_defaults(func=cmd_trace)
 
     p_verify = sub.add_parser("verify", help="check a configuration file")
     p_verify.add_argument("config_file", help='JSON file {"thetas": [...], "mus": [...]}')
-    p_verify.set_defaults(func=cmd_verify)
 
     p_special = sub.add_parser("special-points", help="recompute the special-point catalog")
     p_special.add_argument("--format", choices=("csv", "json"), default="csv")
     p_special.add_argument("--out", default=None)
-    p_special.set_defaults(func=cmd_special_points)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (CoorbitalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for cls, code in EXIT_CODES if isinstance(exc, cls)), 2)

@@ -8,6 +8,11 @@ or theta4 at a zero (T36, T37). Each case reduces to one bracketed
 scalar equation plus linear mass conditions; branches whose mass
 conditions force a non-positive mass are recorded as rejected with the
 numerical evidence.
+
+Every kernel value here comes from the unchecked ``backend.f_eval``:
+the solvers only build angles inside (0, 2*pi) (scan intervals, bands
+and refined roots strictly inside the strip), and the test suite checks
+that over every call the solvers and the catalog make.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .backend import f_eval
 from .exceptions import ConsistencyError
-from .kernel import FIVE_PI_THIRD, PI_THIRD, TWO_PI, f_eval
+from .kernel import FIVE_PI_THIRD, PI_THIRD, TWO_PI
 from .model import MassVector, SymmetricConfig, residual_four
 from .rootfind import ROOT_WIDTH_TOL, bracket_root, converged_root, scan_brackets
 
@@ -146,7 +152,7 @@ def _pair_sum_case(tag: str, theta0: float, span: float) -> CaseSolution:
 
 def _band(lo: float, hi: float) -> List[float]:
     # np.linspace(a, b, GRID_POINTS) bit for bit, by its own formula, as
-    # Python floats that take f_eval's fast scalar path
+    # Python floats, whose arithmetic is faster than numpy scalars'
     a, b = lo + GRID_INSET, hi - GRID_INSET
     step = (b - a) / (GRID_POINTS - 1)
     return [a + k * step for k in range(GRID_POINTS - 1)] + [b]

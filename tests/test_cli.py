@@ -577,6 +577,34 @@ def test_trace_failure_writes_no_output(capsys, monkeypatch, tmp_path, fmt):
     assert (code, stdout) == (4, "")
 
 
+# trace checks and traces its theta2 lines in grid order, so the first
+# failing line names the error even when a later line fails otherwise
+@pytest.mark.parametrize(
+    "rng, steps, code, message",
+    [
+        ("0.0001:1.2", "40", 4, ", 0.0001) has residual "),
+        ("0.5:1.2", "40", 2, "theta2 1.0564102564102562 outside the D1 band"),
+        # f(theta2) is -inf at theta2 = 1e-200
+        ("1e-200:0.3", "3", 4, ", 1e-200) has residual inf\n"),
+    ],
+)
+def test_trace_reports_the_first_failing_line(capsys, rng, steps, code, message):
+    argv = ["trace", "--region", "D1", "--range", rng, "--steps", steps]
+    got, stdout, err = run_cli(capsys, argv)
+    assert (got, stdout) == (code, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):
+    assert main(["theorem", "--tag", "T35"]) == 0
+    capsys.readouterr()
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_theorem", lambda args: calls.append(args.tag) or 7)
+    assert main(["theorem", "--tag", "T35"]) == 7
+    assert calls == ["T35"]
+
+
 def test_out_into_missing_directory_is_an_io_error(capsys, tmp_path):
     out = tmp_path / "missing" / "x.csv"
     code, stdout, err = run_cli(capsys, ["kernel", "--steps", "7", "--out", str(out)])

@@ -92,6 +92,14 @@ def test_trace_grid_refuses_booleans_and_strings(bad):
         trace_curve("D1", [0.5, bad])
 
 
+def test_trace_raises_for_the_first_failing_line():
+    # the theta2 = 1e-4 line fails its residual gate before "x" is read
+    with pytest.raises(TraceResidualError, match=r", 0\.0001\) has residual "):
+        trace_curve("D1", [1e-4, "x"])
+    with pytest.raises(AngleDomainError, match="not a real number"):
+        trace_curve("D1", [0.5, "x"])
+
+
 @pytest.mark.parametrize(
     "fn", [curve_eval, region_classify, curve_point, mass_ratio, mass_ratio_pair]
 )

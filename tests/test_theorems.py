@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coorbital import theorems
-from coorbital.kernel import f_eval
+from coorbital import backend, theorems
+from coorbital.catalog import build_catalog
+from coorbital.kernel import critical_points, f_eval
 from coorbital.model import residual_four
 from coorbital.theorems import (
     SOLVERS,
@@ -173,6 +174,35 @@ def test_single_kernel_zero_per_case():
         ]
         small = sum(1 for v in values if abs(v) < 1e-9)
         assert small == 1, f"{tag}: {values}"
+
+
+def _clear_solver_caches():
+    build_catalog.cache_clear()
+    critical_points.cache_clear()
+    for solver in SOLVERS.values():
+        solver.cache_clear()
+
+
+def test_unchecked_kernel_only_sees_in_strip_floats(monkeypatch):
+    # theorems evaluates the kernel without kernel.f_eval's domain check;
+    # every angle the solvers and the catalog build must be a float in
+    # (0, 2*pi)
+    seen = []
+
+    def recorder(theta):
+        seen.append(theta)
+        return backend.f_eval(theta)
+
+    monkeypatch.setattr(theorems, "f_eval", recorder)
+    _clear_solver_caches()
+    try:
+        for solver in SOLVERS.values():
+            solver()
+        build_catalog()
+    finally:
+        _clear_solver_caches()
+    assert seen
+    assert [t for t in seen if type(t) is not float or not 0.0 < t < 2.0 * math.pi] == []
 
 
 def test_solver_results_cached():
