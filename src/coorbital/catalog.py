@@ -11,9 +11,8 @@ extrapolation -- and checked against the reference values to 1e-3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import backend
 from .exceptions import CatalogMismatchError, ConsistencyError
@@ -71,8 +70,7 @@ EDGES: Dict[str, Tuple[Callable[[float], float], float, Optional[float]]] = {
 }
 
 
-@dataclass(frozen=True)
-class SpecialPoint:
+class SpecialPoint(NamedTuple):
     label: str
     theta1: float
     theta2: float
@@ -85,8 +83,7 @@ class SpecialPoint:
     note: str
 
 
-@dataclass(frozen=True)
-class SpecialPointCatalog:
+class SpecialPointCatalog(NamedTuple):
     points: Tuple[SpecialPoint, ...]
 
     def by_label(self, label: str) -> SpecialPoint:

@@ -24,9 +24,8 @@ import numbers
 import operator
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .catalog import CATALOG_TOL, build_catalog
@@ -62,8 +61,7 @@ EXIT_CODES = (
 )
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     command: str
     parameters: Dict[str, object]
     tolerance_set: Dict[str, float]
@@ -102,7 +100,7 @@ def _manifest_lines(manifest: RunManifest) -> List[str]:
 
 
 def _json_text(manifest: RunManifest, data: object) -> str:
-    payload = {"manifest": asdict(manifest), "data": data}
+    payload = {"manifest": manifest._asdict(), "data": data}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -201,7 +199,7 @@ def _write_json(
         fh.write(lead + text)
         lead = ",\n"
     fh.write("],\n" if lead == "\n" else "\n  ],\n")
-    meta = json.dumps(asdict(manifest), indent=2, sort_keys=True)
+    meta = json.dumps(manifest._asdict(), indent=2, sort_keys=True)
     fh.write('  "manifest": ' + meta.replace("\n", "\n  ") + "\n}\n")
 
 

@@ -16,8 +16,7 @@ theta2 line for all curve crossings and keeps the in-region ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import backend
 from .exceptions import (
@@ -28,7 +27,7 @@ from .exceptions import (
 )
 from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI, is_real_number, real_float
 from .model import SymmetricConfig, kernel_values
-from .rootfind import Bracket, RootResult, bracket_root, brackets_from_values
+from .rootfind import Bracket, RootResult, _check_count, bracket_root, brackets_from_values
 from .rootfind import ROOT_WIDTH_TOL, converged_root, opposite_signs
 
 BOUNDARY_TOL = 1e-9
@@ -77,8 +76,7 @@ def _region(theta2: float, d: float) -> str:
     return "D4" if d > 0.0 else "OUTSIDE"
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """A point of the curve with its mass-ratio data.
 
     mass_ratio is f(theta2)/(f(theta1)-f(theta1+theta2)); r_sum and
@@ -235,7 +233,9 @@ def r_diff_pole(
 
 def d4_region_count(n: int = 200) -> int:
     """Number of D4 classifications on an n x n grid over the high
-    theta2 band; the sign condition never holds there, so zero."""
+    theta2 band; the sign condition never holds there, so zero.
+    ValueError unless n is an int >= 1."""
+    _check_count(n, 1, "n")
     import numpy as np
     count = 0
     for theta2 in np.linspace(FIVE_PI_THIRD + 1e-3, TWO_PI - 1e-3, n):

@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Tuple, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple, Union
 
 from . import backend
 from .backend import TWO_PI
@@ -130,8 +129,7 @@ def f_double_prime(theta: Angles) -> Angles:
     return _evaluate(theta, backend.f_double_prime)
 
 
-@dataclass(frozen=True)
-class KernelProfile:
+class KernelProfile(NamedTuple):
     """Critical angles of the kernel.
 
     theta_c is the unique zero of f' below pi, theta_l = 2*pi - theta_c

@@ -10,8 +10,8 @@ masses are then strictly positive null vectors of that matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import backend
 from .exceptions import (
@@ -39,59 +39,68 @@ def _kernel_at(separation: float) -> float:
     return backend.f_eval(separation)
 
 
-@dataclass(frozen=True)
-class AngleConfig:
+def _checked_record(name: str, fields: str) -> type:
+    """A namedtuple base for a record that validates in __new__; its
+    _make, and so _replace, builds through the subclass's __new__."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class AngleConfig(_checked_record("AngleConfig", "thetas")):
     """Cyclic angular gaps of an N-satellite ring, winding once around."""
 
+    __slots__ = ()
     thetas: Tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        thetas = tuple(real_float(t, AngleDomainError, "angle") for t in self.thetas)
-        object.__setattr__(self, "thetas", thetas)
+    def __new__(cls, thetas: Iterable[float]) -> "AngleConfig":
+        thetas = tuple(real_float(t, AngleDomainError, "angle") for t in thetas)
         if len(thetas) < 3:
             raise AngleDomainError("ring needs at least 3 gaps")
         if not all(t > 0.0 for t in thetas):
             raise AngleDomainError("every gap must be strictly positive")
         if abs(math.fsum(thetas) - TWO_PI) > ANGLE_SUM_TOL:
             raise AngleDomainError("gaps must sum to 2*pi")
+        return super().__new__(cls, thetas)
 
 
-@dataclass(frozen=True)
-class MassVector:
+class MassVector(_checked_record("MassVector", "mus")):
     """Dimensionless satellite mass factors, all strictly positive."""
 
+    __slots__ = ()
     mus: Tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        mus = tuple(real_float(m, MassDomainError, "mass") for m in self.mus)
-        object.__setattr__(self, "mus", mus)
+    def __new__(cls, mus: Iterable[float]) -> "MassVector":
+        mus = tuple(real_float(m, MassDomainError, "mass") for m in mus)
         if not mus:
             raise MassDomainError("mass vector must be non-empty")
         if not all(0.0 < m < math.inf for m in mus):
             raise MassDomainError("every mass factor must be finite and strictly positive")
+        return super().__new__(cls, mus)
 
 
-@dataclass(frozen=True)
-class SymmetricConfig:
+class SymmetricConfig(_checked_record("SymmetricConfig", "theta1 theta2 theta4")):
     """Four-satellite configuration with the first and third gaps equal."""
 
+    __slots__ = ()
     theta1: float
     theta2: float
     theta4: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta1", real_float(self.theta1, AngleDomainError, "theta1"))
-        object.__setattr__(self, "theta2", real_float(self.theta2, AngleDomainError, "theta2"))
-        object.__setattr__(self, "theta4", real_float(self.theta4, AngleDomainError, "theta4"))
-        if not 0.0 < self.theta1 < math.pi:
+    def __new__(cls, theta1: float, theta2: float, theta4: float) -> "SymmetricConfig":
+        theta1 = real_float(theta1, AngleDomainError, "theta1")
+        theta2 = real_float(theta2, AngleDomainError, "theta2")
+        theta4 = real_float(theta4, AngleDomainError, "theta4")
+        if not 0.0 < theta1 < math.pi:
             raise AngleDomainError("theta1 must lie in (0, pi)")
-        if not 0.0 < self.theta2 < TWO_PI:
+        if not 0.0 < theta2 < TWO_PI:
             raise AngleDomainError("theta2 must lie in (0, 2*pi)")
-        if not 0.0 < self.theta4 < TWO_PI:
+        if not 0.0 < theta4 < TWO_PI:
             raise AngleDomainError("theta4 must lie in (0, 2*pi)")
-        closure = 2.0 * self.theta1 + self.theta2 + self.theta4 - TWO_PI
+        closure = 2.0 * theta1 + theta2 + theta4 - TWO_PI
         if abs(closure) > ANGLE_SUM_TOL:
             raise AngleDomainError("2*theta1 + theta2 + theta4 must equal 2*pi")
+        return super().__new__(cls, theta1, theta2, theta4)
 
     @classmethod
     def from_pair(cls, theta1: float, theta2: float) -> "SymmetricConfig":
@@ -190,15 +199,19 @@ def residual_four(sym: SymmetricConfig, masses: MassVector) -> List[float]:
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class MassMatrix:
+class MassMatrix(NamedTuple):
     """Antisymmetric 4x4 matrix M with M @ mu = residual_four(sym, mu).
 
     Its Pfaffian M01*M23 - M02*M13 + M03*M12 = f1*f1 - f12*f12 - f2*f4
     is the curve function C, in curve_eval's operation order, so
-    det M = C**2 and M is singular exactly on the curve."""
+    det M = C**2 and M is singular exactly on the curve. It compares
+    by identity, since its array has no single truth value."""
 
     entries: np.ndarray
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def _pattern(f1: float, f2: float, f4: float, f12: float) -> List[List[float]]:
@@ -232,15 +245,18 @@ def coefficient_matrix(masses: MassVector) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class NullSpaceResult:
+class NullSpaceResult(NamedTuple):
     """Null space of a mass matrix: numerical rank, an orthonormal basis
     of the kernel (columns), and the canonical positive mass vector when
-    one exists."""
+    one exists. It compares by identity, as MassMatrix does."""
 
     rank: int
     basis: np.ndarray
     masses: Optional[MassVector]
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def positive_null_masses(M: MassMatrix, rank_tol: float = RANK_TOL) -> NullSpaceResult:
@@ -254,7 +270,10 @@ def positive_null_masses(M: MassMatrix, rank_tol: float = RANK_TOL) -> NullSpace
     orthonormal basis (p, q, q, p), (r, w, -w, -r) and, when
     lam = p/(2q) > 0, the canonical masses (lam, 1/2, 1/2, lam). Rank 0
     gives the identity basis and no masses, since mu1 and mu4 are free.
+    ValueError when rank_tol is a boolean.
     """
+    if isinstance(rank_tol, bool):
+        raise ValueError(f"rank_tol must be a number, not a boolean, got {rank_tol!r}")
     import numpy as np
     entries = np.asarray(M.entries, dtype=float)
     if entries.shape != (4, 4):

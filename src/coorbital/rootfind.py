@@ -11,8 +11,7 @@ layers near the collision angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, NamedTuple, Sequence
 
 from .exceptions import ConsistencyError, NoSignChangeError
 
@@ -24,8 +23,7 @@ MAX_ITER = 200
 SCAN_STEPS = 2000
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     """An interval with a strict sign change: lo < hi and f_lo, f_hi of
     opposite sign."""
 
@@ -35,8 +33,7 @@ class Bracket:
     f_hi: float
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     root: float
     residual: float
     iterations: int

@@ -18,9 +18,8 @@ that over every call the solvers and the catalog make.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .backend import f_eval
 from .exceptions import ConsistencyError
@@ -59,8 +58,7 @@ def mirror_shift_condition(theta: float) -> float:
     return f_eval(FIVE_PI_THIRD - theta) + f_eval(theta)
 
 
-@dataclass(frozen=True)
-class RejectedBranch:
+class RejectedBranch(NamedTuple):
     """A candidate subcase ruled out by a sign argument on a grid."""
 
     label: str
@@ -68,8 +66,7 @@ class RejectedBranch:
     evidence: Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class MassCondition:
+class MassCondition(NamedTuple):
     """Linear constraints admissible masses must satisfy, with one
     compliant sample vector when the case exists."""
 
@@ -78,8 +75,7 @@ class MassCondition:
     sample: Optional[MassVector]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Numerical evidence backing a case solution: the back-substituted
     residual for existing cases, or a strictly-signed grid minimum for
     non-existence."""
@@ -90,8 +86,7 @@ class Certificate:
     description: str
 
 
-@dataclass(frozen=True)
-class CaseSolution:
+class CaseSolution(NamedTuple):
     theorem_tag: str
     config: Optional[SymmetricConfig]
     mass_condition: Optional[MassCondition]

@@ -1,5 +1,4 @@
 """Special-point catalog: recomputed coordinates and degeneracy flags."""
-import dataclasses
 import math
 
 import pytest
@@ -149,7 +148,7 @@ def test_unconverged_refinement_raises(monkeypatch, fresh_caches, module, call, 
         # r_diff_pole's inner line scans must still succeed
         if module is curve and fn.__name__ != "f4_on_branch":
             return result
-        return dataclasses.replace(result, converged=False)
+        return result._replace(converged=False)
 
     monkeypatch.setattr(module, "bracket_root", unconverged)
     with pytest.raises(ConsistencyError, match=match):

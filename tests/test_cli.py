@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -350,7 +349,7 @@ def _reference_text(fmt, manifest, header, rows):
              for key, v in zip(header, row)}
             for row in rows
         ]
-        payload = {"manifest": asdict(manifest), "data": data}
+        payload = {"manifest": manifest._asdict(), "data": data}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
     for line in cli._manifest_lines(manifest):
@@ -638,7 +637,8 @@ if sys.argv[1:]:
     from coorbital.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(sys.argv[1:])
-print(json.dumps([rc, "numpy" in sys.modules]))
+print(json.dumps([rc, "numpy" in sys.modules,
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 
@@ -660,7 +660,9 @@ print(json.dumps([rc, "numpy" in sys.modules]))
 )
 def test_only_array_paths_import_numpy(tmp_path, argv, loads_numpy):
     # The short subcommands start without numpy, which is most of their
-    # start-up; the array paths must still be the ones taken.
+    # start-up, and without dataclasses or the inspect module it pulls in
+    # (numpy imports inspect itself); the array paths must still be the
+    # ones taken.
     if argv[:1] == ["verify"]:
         n = argv[1]
         argv = ["verify", write_config(tmp_path, [2.0 * PI / n] * n, [1.0] * n)]
@@ -668,9 +670,11 @@ def test_only_array_paths_import_numpy(tmp_path, argv, loads_numpy):
         [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    rc, loaded = json.loads(out.stdout)
+    rc, loaded, heavy = json.loads(out.stdout)
     assert rc == (0 if argv else None)
     assert loaded is loads_numpy
+    if not loads_numpy:
+        assert heavy == []
 
 
 # Runs in a fresh interpreter: runs `kernel --steps 3 --out F` through the

@@ -1,5 +1,4 @@
 """Curve evaluation, region classification, branch tracing."""
-import dataclasses
 import math
 
 import numpy as np
@@ -194,7 +193,7 @@ def test_trace_gates_on_the_refinement_residual(monkeypatch):
     real = curve.bracket_root
 
     def large_residual(fn, bracket, **kwargs):
-        return dataclasses.replace(real(fn, bracket, **kwargs), residual=1.0)
+        return real(fn, bracket, **kwargs)._replace(residual=1.0)
 
     monkeypatch.setattr(curve, "bracket_root", large_residual)
     with pytest.raises(TraceResidualError, match="has residual 1.0"):
@@ -354,3 +353,6 @@ def test_r_diff_pole_rejects_bad_window(window):
 
 def test_d4_band_is_empty():
     assert d4_region_count(60) == 0
+    for bad in (True, 2.5, -1, 0):
+        with pytest.raises(ValueError, match="n must be an int >= 1"):
+            d4_region_count(bad)

@@ -516,6 +516,11 @@ def test_null_masses_nan_rank_tol_keeps_full_rank():
         positive_null_masses(
             mass_matrix(SymmetricConfig.from_pair(0.9, 0.9)), rank_tol=math.nan
         )
+    # a boolean is no tolerance: True would read as 1.0 and give rank 0
+    on_curve = MassMatrix(_two_block_matrix(1.0))
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="rank_tol must be a number"):
+            positive_null_masses(on_curve, rank_tol=flag)
 
 
 def _two_block_matrix(x):
