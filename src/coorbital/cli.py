@@ -25,7 +25,20 @@ import operator
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from . import __version__
 from .catalog import CATALOG_TOL, build_catalog
@@ -41,6 +54,9 @@ from .kernel import TWO_PI, f_double_prime, f_eval, f_prime
 from .model import ANGLE_SUM_TOL, AngleConfig, MassVector, residual_general
 from .rootfind import ROOT_WIDTH_TOL
 from .theorems import RESIDUAL_GATE, SOLVERS
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KERNEL_GRID_DELTA = 1e-4
 # records the writers format per pass, so it bounds the rows held in
@@ -107,7 +123,8 @@ def _json_text(manifest: RunManifest, data: object) -> str:
 def _json_value(value: object) -> str:
     """One JSON scalar, floats rounded to 12 significant digits; json.dumps
     writes the rest, NaN and Infinity included. _write_json calls it for
-    the cells of every block its float template cannot write.
+    every cell of a block that is not all floats and for every cell of a
+    float row that _float_rows declines.
 
     A float's 12-digit text outside exponent notation is already the
     shortest repr of the float it reads as, but for a missing ".0", so
@@ -132,73 +149,122 @@ def _target(out: Optional[str]) -> Iterator[TextIO]:
             yield fh
 
 
-def _blocks(
-    rows: Iterable[Sequence[object]],
-) -> Iterator[Tuple[List[Sequence[object]], bool]]:
-    """The rows in lists of up to _BLOCK_ROWS, each with a flag that is
-    True when every cell is exactly a float (numpy floats and other
-    subclasses take the cell-by-cell path)."""
-    it = iter(rows)
-    for block in iter(lambda: list(itertools.islice(it, _BLOCK_ROWS)), []):
-        yield block, set(map(type, itertools.chain.from_iterable(block))) == {float}
+class _RowLayout(NamedTuple):
+    """How a writer lays out one record: after the cell of each output
+    column its separator, the last one ending the record, and the
+    per-cell formatter of the records that _float_rows declines."""
+
+    separators: Tuple[str, ...]
+    cell: Callable[[object], str]
+    # JSON: an integral float needs a ".0" that format(x, ".12g") lacks
+    needs_point: bool
+
+
+def _cell_row(cells: Iterable[object], layout: _RowLayout) -> str:
+    """One record, its cells in output order, formatted cell by cell."""
+    return "".join(map(operator.add, map(layout.cell, cells), layout.separators))
+
+
+def _float_rows(block: "np.ndarray", layout: _RowLayout) -> str:
+    """The records of a float64 block of shape (rows, columns), columns in
+    output order, each cell exactly layout.cell's text: format(x, ".12g")
+    or _json_value(x).
+
+    floattext.fill_cells writes the records into one NUL-padded byte
+    matrix, and deleting the NULs gives the text. The records it declines
+    are left out of the matrix and written by _cell_row in their place.
+    floattext is imported here, so that a launch without a float block
+    neither compiles it nor imports numpy."""
+    from .floattext import fill_cells
+
+    matrix, declined, ends = fill_cells(block, layout.separators, layout.needs_point)
+    text = matrix.translate(None, b"\0")
+    if not declined:
+        return text.decode()
+    texts, start = [], 0
+    for r in declined:
+        texts += (text[start : ends[r]].decode(), _cell_row(block[r].tolist(), layout))
+        start = ends[r]
+    texts.append(text[start:].decode())
+    return "".join(texts)
+
+
+def _as_block(rows: List[Sequence[object]]) -> "Union[List[Sequence[object]], np.ndarray]":
+    """The rows as a float64 array when every cell is exactly a float
+    (numpy floats and other subclasses take the cell-by-cell path)."""
+    if set(map(type, itertools.chain.from_iterable(rows))) != {float}:
+        return rows
+    import numpy as np
+    return np.array(rows, dtype=np.float64)
+
+
+def _blocks(rows: Iterable[object]) -> Iterator["Union[List[Sequence[object]], np.ndarray]"]:
+    """The records in blocks of up to _BLOCK_ROWS. A 2-D float64 array
+    among the rows holds records and passes through, as views of up to
+    _BLOCK_ROWS rows; the other rows are gathered in lists, and _as_block
+    turns an all-float list into an array."""
+    block: List[Sequence[object]] = []
+    for row in rows:
+        if getattr(row, "ndim", 1) == 2:
+            if block:
+                yield _as_block(block)
+                block = []
+            for start in range(0, len(row), _BLOCK_ROWS):
+                yield row[start : start + _BLOCK_ROWS]
+            continue
+        block.append(row)
+        if len(block) == _BLOCK_ROWS:
+            yield _as_block(block)
+            block = []
+    if block:
+        yield _as_block(block)
 
 
 def _write_csv(
-    fh: TextIO, manifest: RunManifest, header: Sequence[str], rows: Iterable[Sequence[object]]
+    fh: TextIO, manifest: RunManifest, header: Sequence[str], rows: Iterable[object]
 ) -> None:
     """The manifest as "#" lines, the header, then the rows of len(header)
-    cells, a block at a time. A block of floats is formatted by one row
-    template and skips csv's quoting scan: 12-digit float text holds no
-    character that needs quoting. Other blocks go through csv.writer
-    over _fmt cells."""
+    cells, a block at a time. A float block is formatted by _float_rows
+    and skips csv's quoting scan: 12-digit float text holds no character
+    that needs quoting. List blocks go through csv.writer over _fmt
+    cells."""
     for line in _manifest_lines(manifest):
         fh.write(line + "\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    line = ",".join(["%.12g"] * len(header)) + "\n"
-    for block, floats in _blocks(rows):
-        if floats:
-            fh.write("".join(map(line.__mod__, map(tuple, block))))
-        else:
+    layout = _RowLayout((",",) * (len(header) - 1) + ("\n",), _fmt, False)
+    for block in _blocks(rows):
+        if isinstance(block, list):
             writer.writerows([_fmt(v) for v in row] for row in block)
+        else:
+            fh.write(_float_rows(block, layout))
 
 
 def _write_json(
-    fh: TextIO, manifest: RunManifest, header: Sequence[str], rows: Iterable[Sequence[object]]
+    fh: TextIO, manifest: RunManifest, header: Sequence[str], rows: Iterable[object]
 ) -> None:
     """The bytes of json.dumps({"manifest": ..., "data": [objects keyed by
     header]}, indent=2, sort_keys=True) + "\n", written a block of objects
-    at a time through one object template in sorted key order.
+    at a time with the keys in sorted order. A float block is formatted
+    by _float_rows; list blocks go through _json_value cell by cell.
 
-    A block of floats is formatted "%.12g" by the template. That text is
-    _json_value's exactly when each value holds one "." and no "e": inf,
-    nan, -0.0 and integral floats lack the ".", and "e" marks an exponent
-    form. Counting both in the block against the keys' own decides it.
-    Any other block goes through _json_value column by column."""
+    Each object ends by opening the next one, so the text of a block is
+    written once the next block is known, and that of the last one
+    without its final opening."""
     order = sorted(range(len(header)), key=header.__getitem__)
-    keys = [json.dumps(header[i]).replace("%", "%%") for i in order]
-
-    def template(spec: str) -> str:
-        return "    {\n" + ",\n".join(f"      {key}: {spec}" for key in keys) + "\n    }"
-
-    float_object, text_object = template("%.12g"), template("%s")
-    pick = operator.itemgetter(*order)
-    key_text = "".join(keys)
-    per_object = (key_text.count("e"), key_text.count(".") + len(keys))
+    keys = [json.dumps(header[i]) + ": " for i in order]
+    opening = "\n    {\n      " + keys[0]
+    separators = [",\n      " + key for key in keys[1:]] + ["\n    }," + opening]
+    layout = _RowLayout(tuple(separators), _json_value, True)
     fh.write('{\n  "data": [')
-    lead = "\n"
-    for block, floats in _blocks(rows):
-        if floats:
-            text = ",\n".join(map(float_object.__mod__, map(pick, block)))
-            counts = (text.count("e"), text.count("."))
-            floats = counts == tuple(len(block) * k for k in per_object)
-        if not floats:
-            columns = list(zip(*block))
-            cells = zip(*[map(_json_value, columns[i]) for i in order])
-            text = ",\n".join(map(text_object.__mod__, cells))
-        fh.write(lead + text)
-        lead = ",\n"
-    fh.write("],\n" if lead == "\n" else "\n  ],\n")
+    text = None
+    for block in _blocks(rows):
+        fh.write(opening if text is None else text)
+        if isinstance(block, list):
+            text = "".join(_cell_row(map(row.__getitem__, order), layout) for row in block)
+        else:
+            text = _float_rows(block[:, order], layout)
+    fh.write("],\n" if text is None else text[: -len(opening) - 1] + "\n  ],\n")
     meta = json.dumps(manifest._asdict(), indent=2, sort_keys=True)
     fh.write('  "manifest": ' + meta.replace("\n", "\n  ") + "\n}\n")
 
@@ -216,18 +282,14 @@ def _emit_records(
         write(fh, manifest, header, rows)
 
 
-def _kernel_rows(n: int, step: float) -> Iterator[tuple]:
-    """Rows (theta, f, f', f'') at the nodes KERNEL_GRID_DELTA + k*step,
-    k < n, evaluated on numpy blocks of _KERNEL_BLOCK nodes."""
+def _kernel_rows(n: int, step: float) -> Iterator["np.ndarray"]:
+    """The rows (theta, f, f', f'') at the nodes KERNEL_GRID_DELTA +
+    k*step, k < n, as float64 arrays of shape (m, 4), one per numpy block
+    of up to _KERNEL_BLOCK nodes."""
     import numpy as np
     for start in range(0, n, _KERNEL_BLOCK):
         theta = KERNEL_GRID_DELTA + np.arange(start, min(start + _KERNEL_BLOCK, n)) * step
-        yield from zip(
-            theta.tolist(),
-            f_eval(theta).tolist(),
-            f_prime(theta).tolist(),
-            f_double_prime(theta).tolist(),
-        )
+        yield np.column_stack((theta, f_eval(theta), f_prime(theta), f_double_prime(theta)))
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:

@@ -2,6 +2,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -395,9 +396,10 @@ FLOAT_CELLS = st.floats(-1e6, 1e6) | st.floats() | st.sampled_from(ODD_FLOATS)
 
 @st.composite
 def records(draw):
-    # "e" and "." are the letters the JSON float path counts; "%" is the
-    # templates' own
-    keys = st.text(alphabet=st.sampled_from(list("abz_θλé日,\" 1%e.")), min_size=1, max_size=6)
+    # keys hold multi-byte UTF-8, "%", the "e" and "." of float text, and
+    # NUL, the byte the float path deletes from its matrix
+    alphabet = st.sampled_from(list("abz_θλé日,\" 1%e.\0"))
+    keys = st.text(alphabet=alphabet, min_size=1, max_size=6)
     header = tuple(draw(st.lists(keys, min_size=1, max_size=6, unique=True)))
     # np.int64 makes most JSON examples a TypeError, so only a third may hold it
     cells = draw(st.sampled_from([CELLS, NP_INT_CELLS, FLOAT_CELLS]))
@@ -466,8 +468,8 @@ def test_streamed_records_edge_cases(tmp_path, fmt, rows):
 
 
 def test_plain_float_blocks_skip_the_per_cell_json_path(monkeypatch):
-    # keys holding the letters the float path counts must not push a
-    # plain block onto the slow path
+    # keys holding the "e" and "." of float text must not push a plain
+    # block onto the slow path
     def per_cell(value):
         raise AssertionError(f"_json_value called for {value!r}")
 
@@ -561,6 +563,179 @@ def test_json_value_matches_the_float_round_trip_on_random_mantissas():
             assert cli._json_value(v) == _reference_json_value(v), v
 
 
+# ---------------------------------------------------------------- float blocks
+
+DECLINED = "<declined>"
+
+
+def _float_path_cells(values, fmt):
+    """Each value as one row of a float64 block through cli._float_rows:
+    its text, or DECLINED where the row went to the per-cell path."""
+    layout = cli._RowLayout(("\n",), lambda value: DECLINED, fmt == "json")
+    block = np.array(values, dtype=np.float64).reshape(-1, 1)
+    return cli._float_rows(block, layout).split("\n")[:-1]
+
+
+def _check_float_path(values):
+    """Every cell the float path writes equals the per-cell text in both
+    formats; returns how many of the values it wrote in each."""
+    values = [float(v) for v in values]
+    written = {}
+    for fmt, reference in (("csv", lambda v: format(v, ".12g")), ("json", cli._json_value)):
+        texts = _float_path_cells(values, fmt)
+        assert len(texts) == len(values)
+        for value, text in zip(values, texts):
+            if text != DECLINED:
+                assert text == reference(value), (fmt, value)
+        written[fmt] = sum(text != DECLINED for text in texts)
+    return written
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.floats(-1e13, 1e13) | st.floats(-1e-3, 1e-3), min_size=1))
+def test_float_path_writes_what_the_cell_path_writes(values):
+    # st.floats() covers subnormals, -0.0, 0.0, inf and nan
+    _check_float_path(values)
+
+
+def _with_neighbours(values, ulps=1):
+    """The values and the floats up to ulps steps away, with both signs."""
+    out = []
+    for v in values:
+        below = above = v
+        out += (v, -v)
+        for _ in range(ulps):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += (below, -below, above, -above)
+    return out
+
+
+def test_float_path_at_powers_of_ten():
+    # where the exponent e steps, log10 may round either way
+    powers = [float(f"1e{p}") for p in range(-6, 14)]
+    written = _check_float_path(_with_neighbours(powers))
+    assert written["csv"] > 50 and written["json"] > 10
+
+
+def test_float_path_at_near_ties():
+    # a decimal tie m5e{k} one digit past the 12th reads as a float just
+    # above or below it, which the float path declines; some floats a few
+    # steps away are written, and must round as format() does
+    rng = random.Random(20261019)
+    ties = [
+        float(f"{rng.randrange(10**11, 10**12)}5e{k}")
+        for k in range(-18, 2)
+        for _ in range(25)
+    ]
+    ties += [999999999999.5, 9.9999999999995e-05, 99999999999.95, 0.000999999999999995]
+    assert _check_float_path(ties) == {"csv": 0, "json": 0}
+    written = _check_float_path(_with_neighbours(ties, ulps=8))
+    assert written["csv"] > 1000 and written["json"] > 1000
+
+
+def test_float_path_declines_ties_and_exponent_forms():
+    texts = _float_path_cells([999999999999.5, 9.9999999999995e-05, 1e12, 1e-5, 0.0, -0.0], "csv")
+    assert texts == [DECLINED] * 6
+    # integral text lacks JSON's ".0"
+    assert _float_path_cells([3.0, -120.0, 3.5], "json") == [DECLINED, DECLINED, "3.5"]
+    assert _float_path_cells([3.0, -120.0, 3.5], "csv") == ["3", "-120", "3.5"]
+
+
+def _count_cell_rows(monkeypatch):
+    """A list that gains an entry per record written by cli._cell_row."""
+    calls = []
+    cell_row = cli._cell_row
+
+    def counted(cells, layout):
+        calls.append(layout)
+        return cell_row(cells, layout)
+
+    monkeypatch.setattr(cli, "_cell_row", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_table_rows_mostly_take_the_float_path(monkeypatch, tmp_path, fmt):
+    # the fallback writes a declined row correctly but slowly, so a fast
+    # path that declines everything would pass every byte test
+    declined = _count_cell_rows(monkeypatch)
+    out = tmp_path / f"kernel.{fmt}"
+    assert main(["kernel", "--steps", "100000", "--format", fmt, "--out", str(out)]) == 0
+    assert 0 < len(declined) < 1000
+
+
+# sha256 of `kernel --steps 100000`, the benchmark's own table, recorded
+# before the float path was vectorised
+KERNEL_TABLE_SHA256 = {
+    "csv": "72b33e4d6d576e1bac70ac7cf88c897220043b2186842eb79269e5c152cef4b5",
+    "json": "6df468284b2959f45ae21df57b1b4c90a6476ee165d193a772f94cb86de4da20",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_table_of_the_benchmark_is_pinned(tmp_path, fmt):
+    out = tmp_path / f"kernel.{fmt}"
+    assert main(["kernel", "--steps", "100000", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == KERNEL_TABLE_SHA256[fmt]
+
+
+# values that every format declines, so their rows take the per-cell path
+DECLINED_VALUES = [999999999999.5, 0.0, 1e20, -0.0, -2.5e-7, math.nan, -math.inf]
+SPLICE_ROWS = {
+    "first": [0],
+    "last": [5],
+    "adjacent": [2, 3],
+    "every": list(range(6)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", sorted(SPLICE_ROWS))
+@pytest.mark.parametrize("block", [0, 1], ids=["first-block", "later-block"])
+def test_declined_rows_are_spliced_in_order(monkeypatch, fmt, where, block):
+    # two array blocks of six rows; the declined rows of one of them are
+    # written by the per-cell path between the float path's runs
+    header = ("theta", "f", "f_prime")
+    arrays = [
+        np.array([[0.125 * r + 0.3 + b, -1.5 / (r + 1), 7e-3 * r - 2.25] for r in range(6)])
+        for b in range(2)
+    ]
+    for i, r in enumerate(SPLICE_ROWS[where]):
+        arrays[block][r, i % 3] = DECLINED_VALUES[i % len(DECLINED_VALUES)]
+    rows = [tuple(row) for array in arrays for row in array.tolist()]
+    expected = _reference_text(fmt, MANIFEST, header, rows).encode("utf-8")
+    spliced = _count_cell_rows(monkeypatch)
+    assert _streamed_bytes(fmt, MANIFEST, header, arrays) == expected
+    assert len(spliced) == len(SPLICE_ROWS[where])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_array_blocks_and_rows_interleave(monkeypatch, fmt):
+    # arrays pass through in views of _BLOCK_ROWS rows, and the rows
+    # between them are gathered into blocks of their own
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    header = ("a", "b")
+    first = np.arange(18.0).reshape(9, 2) / 7.0
+    second = -np.arange(6.0).reshape(3, 2) / 3.0
+    loose = [(0.5, 1.25), (2.0, None), (0.1, 0.2)]
+    stream = [loose[0], first, loose[1], loose[2], second]
+    rows = [loose[0], *map(tuple, first.tolist()), loose[1], loose[2], *map(tuple, second.tolist())]
+    expected = _reference_text(fmt, MANIFEST, header, rows).encode("utf-8")
+    assert _streamed_bytes(fmt, MANIFEST, header, stream) == expected
+    blocks = list(cli._blocks(stream))
+    assert [len(b) for b in blocks] == [1, 4, 4, 1, 2, 3]
+    assert [isinstance(b, list) for b in blocks] == [False] * 4 + [True, False]
+
+
+def test_readme_json_example_is_the_kernel_output(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Output conventions\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    code, out, _ = run_cli(capsys, ["kernel", "--steps", "2", "--format", "json"])
+    assert code == 0
+    assert out == example
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_trace_failure_writes_no_output(capsys, monkeypatch, tmp_path, fmt):
     def fail(*args, **kwargs):
@@ -638,7 +813,8 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(sys.argv[1:])
 print(json.dumps([rc, "numpy" in sys.modules,
-                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+                  [m for m in ("dataclasses", "inspect", "coorbital.floattext")
+                   if m in sys.modules]]))
 """
 
 
@@ -660,9 +836,9 @@ print(json.dumps([rc, "numpy" in sys.modules,
 )
 def test_only_array_paths_import_numpy(tmp_path, argv, loads_numpy):
     # The short subcommands start without numpy, which is most of their
-    # start-up, and without dataclasses or the inspect module it pulls in
-    # (numpy imports inspect itself); the array paths must still be the
-    # ones taken.
+    # start-up, without dataclasses or the inspect module it pulls in
+    # (numpy imports inspect itself) and without the float-block
+    # formatter; the array paths must still be the ones taken.
     if argv[:1] == ["verify"]:
         n = argv[1]
         argv = ["verify", write_config(tmp_path, [2.0 * PI / n] * n, [1.0] * n)]
