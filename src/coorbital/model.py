@@ -131,44 +131,69 @@ def residual_general(config: AngleConfig, masses: MassVector) -> List[float]:
     j = 1..N-1 with cyclic indexing; a central configuration makes
     every row vanish.
 
-    A ring of at most _BLOCK_TERMS terms (N <= 91) is summed term by
-    term in Python; larger rings are evaluated with numpy in blocks of
-    about _BLOCK_TERMS terms, so memory stays bounded by the block
-    rather than by N^2. Both the partial angle sums and the row sums
-    accumulate left to right on both paths, so every row is
-    bit-identical to the scalar sum taken term by term. A separation
-    within COLLISION_TOL of 0 or 2*pi raises AngleDomainError, naming
-    the first one in row-major order.
+    One row is summed per rotational orbit. The ring's period p is the
+    smallest divisor of N such that rotating both the gaps and the
+    masses by p places leaves them unchanged, compared with exact float
+    equality. Row i + p then runs the same float operations on the same
+    operands as row i, so rows 0..p-1 are computed and repeated N/p
+    times; a ring with no symmetry has p = N.
+
+    When the p * (N-1) evaluated terms are at most _BLOCK_TERMS (a
+    regular ring of up to 8193 satellites, any ring of up to 91), they
+    are summed term by term in Python; otherwise they are evaluated
+    with numpy in blocks of about _BLOCK_TERMS terms, so memory stays
+    bounded by the block rather than by N^2. Both the partial angle
+    sums and the row sums accumulate left to right on both paths, so
+    every row is bit-identical to the scalar sum taken term by term. A
+    separation within COLLISION_TOL of 0 or 2*pi raises
+    AngleDomainError, naming the first one in row-major order, which
+    always lies in a row below p.
     """
     n = len(config.thetas)
     if len(masses.mus) != n:
         raise MassDomainError("angle and mass lists must share a length")
-    if n * (n - 1) > _BLOCK_TERMS:
-        return _residual_blocks(config, masses)
     thetas, mus = config.thetas, masses.mus
+    p = _period(thetas, mus)
+    if p * (n - 1) > _BLOCK_TERMS:
+        return _residual_blocks(config, masses, p) * (n // p)
     rows = []
-    for i in range(n):
+    for i in range(p):
         acc = 0.0
         partial = 0.0
         for j in range(i, i + n - 1):
             partial += thetas[j % n]
             acc += mus[(j + 1) % n] * _kernel_at(partial)
         rows.append(acc)
-    return rows
+    return rows * (n // p)
 
 
-def _residual_blocks(config: AngleConfig, masses: MassVector) -> List[float]:
-    """residual_general's rows, by numpy blocks of about _BLOCK_TERMS terms."""
+def _period(thetas: Tuple[float, ...], mus: Tuple[float, ...]) -> int:
+    """The smallest divisor p of the ring size with both sequences
+    unchanged by a rotation of p places."""
+    n = len(thetas)
+    # for p dividing n, a shift by p that matches is a full rotation
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and thetas[p:] == thetas[:-p] and mus[p:] == mus[:-p]:
+            return p
+    return n
+
+
+def _residual_blocks(
+    config: AngleConfig, masses: MassVector, count: Optional[int] = None
+) -> List[float]:
+    """The first count (default all N) of residual_general's rows, by
+    numpy blocks of about _BLOCK_TERMS terms."""
     import numpy as np
     n = len(config.thetas)
+    count = n if count is None else count
     # row i reads thetas[i .. i+n-2] and mus[i+1 .. i+n-1], cyclically
     windows = np.lib.stride_tricks.sliding_window_view
-    th = windows(np.array(config.thetas * 2), n - 1)[:n]
-    mu = windows(np.array(masses.mus * 2), n - 1)[1 : n + 1]
-    rows = np.empty(n)
+    th = windows(np.array(config.thetas * 2), n - 1)[:count]
+    mu = windows(np.array(masses.mus * 2), n - 1)[1 : count + 1]
+    rows = np.empty(count)
     step = max(1, _BLOCK_TERMS // (n - 1))
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
+    for i0 in range(0, count, step):
+        i1 = min(i0 + step, count)
         # cumsum accumulates sequentially, like the scalar +=; np.sum
         # would sum pairwise and change the last bits
         partial = np.cumsum(th[i0:i1], axis=1)

@@ -25,6 +25,7 @@ from coorbital.cli import main
 from coorbital.exceptions import TraceResidualError
 
 import table_data
+from rings import jittered_gaps, periodic_gaps
 
 PI = math.pi
 
@@ -818,36 +819,52 @@ print(json.dumps([rc, "numpy" in sys.modules,
 """
 
 
+def _probe_ring(kind, n):
+    """Gaps and masses of an n-ring: regular, jittered, or with a period
+    of kind sites and unequal masses."""
+    if kind == "regular":
+        return [2.0 * PI / n] * n, [1.0] * n
+    if kind == "jittered":
+        return jittered_gaps(n, n), [1.0] * n
+    base = [float(w) for w in range(1, kind + 1)]
+    return periodic_gaps(base, n // kind), base * (n // kind)
+
+
 @pytest.mark.parametrize(
-    "argv, loads_numpy",
+    "argv, rc, loads_numpy",
     [
-        ([], False),
-        (["theorem", "--tag", "T36"], False),
-        (["special-points"], False),
-        (["verify", 4], False),
-        (["verify", 91], False),
-        (["kernel", "--steps", "10"], True),
-        (["trace", "--region", "D2", "--range", "1.2:1.4", "--steps", "2"], True),
-        (["verify", 92], True),
-        (["verify", 100], True),
+        ([], None, False),
+        (["theorem", "--tag", "T36"], 0, False),
+        (["special-points"], 0, False),
+        (["verify", "regular", 4], 0, False),
+        (["verify", "regular", 91], 0, False),
+        (["kernel", "--steps", "10"], 0, True),
+        (["trace", "--region", "D2", "--range", "1.2:1.4", "--steps", "2"], 0, True),
+        # verify sums one row per rotational orbit and loads numpy only
+        # when those rows hold more than 8192 terms
+        (["verify", "jittered", 92], 1, True),
+        (["verify", "jittered", 100], 1, True),
+        (["verify", "regular", 1024], 1, False),
+        (["verify", 8, 1024], 1, False),
+        (["verify", 16, 1024], 1, True),
     ],
     ids=["import", "theorem", "special-points", "verify-4", "verify-91", "kernel",
-         "trace", "verify-92", "verify-100"],
+         "trace", "verify-92", "verify-100", "verify-1024", "verify-1024-period-8",
+         "verify-1024-period-16"],
 )
-def test_only_array_paths_import_numpy(tmp_path, argv, loads_numpy):
+def test_only_array_paths_import_numpy(tmp_path, argv, rc, loads_numpy):
     # The short subcommands start without numpy, which is most of their
     # start-up, without dataclasses or the inspect module it pulls in
     # (numpy imports inspect itself) and without the float-block
     # formatter; the array paths must still be the ones taken.
     if argv[:1] == ["verify"]:
-        n = argv[1]
-        argv = ["verify", write_config(tmp_path, [2.0 * PI / n] * n, [1.0] * n)]
+        argv = ["verify", write_config(tmp_path, *_probe_ring(*argv[1:]))]
     out = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    rc, loaded, heavy = json.loads(out.stdout)
-    assert rc == (0 if argv else None)
+    got_rc, loaded, heavy = json.loads(out.stdout)
+    assert got_rc == rc
     assert loaded is loads_numpy
     if not loads_numpy:
         assert heavy == []

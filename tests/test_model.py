@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coorbital import backend, model
@@ -28,6 +28,7 @@ from coorbital.model import (
     residual_four,
     residual_general,
 )
+from rings import closed_gaps, jittered_gaps, periodic_gaps
 
 TWO_PI = 2.0 * math.pi
 EXACT_TOL = 1e-12
@@ -210,12 +211,7 @@ def _assert_rows_match_reference(config, masses):
 
 
 def _closed_ring(weights):
-    """Gaps proportional to weights, rescaled to 2*pi, the last one closing
-    the ring exactly."""
-    scale = TWO_PI / math.fsum(weights)
-    gaps = [w * scale for w in weights[:-1]]
-    gaps.append(TWO_PI - math.fsum(gaps))
-    return AngleConfig(gaps)
+    return AngleConfig(closed_gaps(weights))
 
 
 @st.composite
@@ -233,19 +229,116 @@ def test_residual_rows_bit_identical_to_scalar_loop(ring):
 
 
 def _jittered_ring(n, seed):
-    # built the way the benchmark's verify-ring workload builds its rings
-    rng = random.Random(seed)
-    return _closed_ring([1.0 + 0.2 * (2.0 * rng.random() - 1.0) for _ in range(n)])
+    return AngleConfig(jittered_gaps(n, seed))
 
 
 @pytest.mark.parametrize(
     "config",
     [AngleConfig((TWO_PI / 512,) * 512), AngleConfig((TWO_PI / 1024,) * 1024),
-     _jittered_ring(1024, 8), _jittered_ring(91, 9), _jittered_ring(92, 10)],
-    ids=["regular-512", "regular-1024", "jittered-1024", "jittered-91", "jittered-92"],
+     _jittered_ring(1024, 8), _jittered_ring(91, 9), _jittered_ring(92, 10),
+     # 16 * 1023 terms: residual_general sums the 16 rows by numpy blocks
+     AngleConfig(periodic_gaps([1.0, 1.5, 0.5, 1.25] * 3 + [1.0, 0.75, 2.0, 1.5], 64))],
+    ids=["regular-512", "regular-1024", "jittered-1024", "jittered-91", "jittered-92",
+         "period-16-1024"],
 )
 def test_large_ring_residuals_bit_identical_to_scalar_loop(config):
     _assert_rows_match_reference(config, MassVector((1.0,) * len(config.thetas)))
+
+
+@st.composite
+def periodic_rings(draw, max_n=160):
+    """A base of 1-8 gaps and masses repeated k times, N = 3..max_n, so
+    rings both below and above 91 gaps are drawn."""
+    p = draw(st.integers(1, 8))
+    k = draw(st.integers(-(-3 // p), max_n // p))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=p, max_size=p))
+    mus = draw(st.lists(st.floats(1e-3, 1e3), min_size=p, max_size=p))
+    return weights, mus, k
+
+
+def _unique_first(values):
+    # a strict maximum at site 0: no rotation short of N leaves it in place
+    return [2.0 * max(values)] + list(values[1:])
+
+
+def _periodic_tiny_gap(weights, k, r, tiny):
+    """periodic_gaps(weights, k) with gap r of every copy set to tiny and
+    the others rescaled to close the ring."""
+    rest = list(weights)
+    rest[r] = 0.0
+    scale = (TWO_PI - k * tiny) / (k * math.fsum(rest))
+    base = [w * scale for w in rest]
+    base[r] = tiny
+    return base * k
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=periodic_rings())
+def test_periodic_ring_rows_bit_identical_to_scalar_loop(ring):
+    weights, mus, k = ring
+    config = AngleConfig(periodic_gaps(weights, k))
+    masses = MassVector(mus * k)
+    period = model._period(config.thetas, masses.mus)
+    assert len(weights) % period == 0
+    _assert_rows_match_reference(config, masses)
+    # the orbit path's block sum over the base's rows alone
+    want = _residual_reference(config, masses)
+    assert model._residual_blocks(config, masses, len(weights)) == want[: len(weights)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring=periodic_rings(), broken=st.sampled_from(["thetas", "mus"]))
+def test_ring_periodic_in_one_sequence_takes_the_full_path(ring, broken):
+    weights, mus, k = ring
+    if broken == "thetas":
+        config = _closed_ring(_unique_first(weights * k))
+        masses = MassVector(mus * k)
+    else:
+        config = AngleConfig(periodic_gaps(weights, k))
+        masses = MassVector(_unique_first(mus * k))
+    n = len(config.thetas)
+    assert model._period(config.thetas, masses.mus) == n
+    _assert_rows_match_reference(config, masses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring=periodic_rings(), data=st.data(), tiny=st.floats(1e-15, COLLISION_TOL))
+def test_periodic_ring_collision_error_matches_scalar_loop(ring, data, tiny):
+    weights, mus, k = ring
+    p = len(weights)
+    assume(p >= 2)
+    r = data.draw(st.integers(0, p - 1))
+    config = AngleConfig(_periodic_tiny_gap(weights, k, r, tiny))
+    masses = MassVector(mus * k)
+    with pytest.raises(AngleDomainError) as want:
+        _residual_reference(config, masses)
+    for path in RESIDUAL_PATHS:
+        with pytest.raises(AngleDomainError) as got:
+            path(config, masses)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "weights, period",
+    [([1.0] * 16, 1), ([1.0, 2.0] * 8, 2), ([1.0, 2.0, 1.0, 3.0] * 4, 4),
+     # thetas[3:] == thetas[:-3], but 3 does not divide 16: no rotation
+     ([1.0, 2.0, 3.0] * 5 + [1.0], 16)],
+    ids=["regular", "period-2", "period-4", "shift-3-not-a-rotation"],
+)
+def test_residual_sums_one_row_per_smallest_period(monkeypatch, weights, period):
+    n = len(weights)
+    config = AngleConfig(periodic_gaps(weights, 1))
+    masses = MassVector([0.5 + w for w in weights])
+    calls = []
+
+    def counting(separation):
+        calls.append(separation)
+        return backend.f_eval(separation)
+
+    monkeypatch.setattr(model, "_kernel_at", counting)
+    assert model._period(config.thetas, masses.mus) == period
+    assert residual_general(config, masses) == _residual_reference(config, masses)
+    assert len(calls) == period * (n - 1)
 
 
 @pytest.mark.parametrize(
@@ -256,8 +349,11 @@ def test_large_ring_residuals_bit_identical_to_scalar_loop(config):
         (2.0, 2.0, TWO_PI - 4.0 - 5e-13, 5e-13),
         (5e-13, 3.0, 5e-13, TWO_PI - 3.0 - 1e-12),
         (1.0, 1.0, 1.0, 1.0, 1.0, TWO_PI - 5.0 - 4e-13, 4e-13),
+        # 16 * 1023 terms: residual_general sums the 16 rows by numpy blocks
+        _periodic_tiny_gap([1.0, 0.5, 2.0, 1.5] * 4, 64, 13, 5e-13),
     ],
-    ids=["first-gap", "middle-gap", "last-separation", "two-gaps", "closing-gap"],
+    ids=["first-gap", "middle-gap", "last-separation", "two-gaps", "closing-gap",
+         "period-16-1024"],
 )
 def test_residual_collision_error_matches_scalar_loop(thetas):
     config = AngleConfig(thetas)
@@ -294,9 +390,10 @@ def test_residual_scales_exactly_with_power_of_two_masses(ring, k):
 
 
 def test_residual_memory_bounded_by_block_not_ring_size():
-    # a float64 temporary of N^2 terms would take 32 MB at N = 2048
+    # a float64 temporary of N^2 terms would take 32 MB at N = 2048; the
+    # ring is jittered, since a regular one sums a single row
     n = 2048
-    config = AngleConfig((TWO_PI / n,) * n)
+    config = _jittered_ring(n, 11)
     masses = MassVector((1.0,) * n)
     tracemalloc.start()
     try:
