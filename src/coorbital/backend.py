@@ -24,12 +24,12 @@ there). The ``try`` costs nothing on the normal path.
 import math
 from typing import TYPE_CHECKING
 
+from .bounds import TWO_PI
+
 if TYPE_CHECKING:
     import numpy as np
 
 BACKEND = "numpy"
-
-TWO_PI = 2.0 * math.pi
 
 
 def f_eval(theta, xp=math):

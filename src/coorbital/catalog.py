@@ -15,17 +15,11 @@ from functools import lru_cache
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import backend
+from .bounds import CATALOG_TOL, CORNER_MARGIN, EDGE_INSET, ENDPOINT_OFFSETS, FIVE_PI_THIRD
+from .bounds import PI_THIRD, ROOT_WIDTH_TOL, TWO_PI
 from .exceptions import CatalogMismatchError, ConsistencyError
-from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI
-from .rootfind import ROOT_WIDTH_TOL, Bracket, bracket_root, converged_root, opposite_signs
-from .rootfind import scan_brackets
+from .rootfind import Bracket, bracket_root, converged_root, opposite_signs, scan_brackets
 from .theorems import solve_T32, solve_T33, solve_T34, solve_T36, solve_T37
-
-CATALOG_TOL = 1e-3
-# scans on lines where f(theta2) is a rounding-level residue stay this
-# far from the theta4 -> 0 corner, where that residue times the
-# diverging f(theta4) would fabricate a sign change
-CORNER_MARGIN = 1e-3
 
 # label -> ((published theta1, theta2), vanishing kernel value, case
 # tag or None, note); the row order is the output order
@@ -55,10 +49,6 @@ POINTS: Dict[str, Tuple[Tuple[float, float], str, Optional[str], str]] = {
 
 # published coordinates the recomputation must reproduce
 REFERENCE = {label: row[0] for label, row in POINTS.items()}
-
-# collision-edge offsets for the endpoint limits; the branch angle is
-# extrapolated to offset zero in the cube-root variable h**(1/3)
-ENDPOINT_OFFSETS = (1e-3, 1e-4, 1e-5)
 
 # edge label -> (theta2 at offset h, theta1 bracket on that line); a
 # bracket top of None runs to the theta4 -> 0 edge of the strip

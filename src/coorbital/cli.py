@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import numbers
@@ -41,8 +40,10 @@ from typing import (
 )
 
 from . import __version__
-from .catalog import CATALOG_TOL, build_catalog
-from .curve import TRACE_RESID_GATE, trace_curve
+from .bounds import ANGLE_SUM_TOL, CATALOG_TOL, KERNEL_GRID_DELTA, RESIDUAL_GATE, ROOT_WIDTH_TOL
+from .bounds import TRACE_RESID_GATE, TWO_PI, VERIFY_RENORM_LIMIT, VERIFY_THRESHOLD
+from .catalog import build_catalog
+from .curve import trace_curve
 from .exceptions import (
     CatalogMismatchError,
     ConsistencyError,
@@ -50,23 +51,19 @@ from .exceptions import (
     NoSignChangeError,
     TraceResidualError,
 )
-from .kernel import TWO_PI, f_double_prime, f_eval, f_prime
-from .model import ANGLE_SUM_TOL, AngleConfig, MassVector, residual_general
-from .rootfind import ROOT_WIDTH_TOL
-from .theorems import RESIDUAL_GATE, SOLVERS
+from .kernel import f_double_prime, f_eval, f_prime
+from .model import AngleConfig, MassVector, residual_general
+from .theorems import SOLVERS
 
 if TYPE_CHECKING:
     import numpy as np
 
-KERNEL_GRID_DELTA = 1e-4
 # records the writers format per pass, so it bounds the rows held in
 # memory at once
 _BLOCK_ROWS = 256
 # nodes per numpy call of the kernel table: numpy's cost per call, not
 # per node, dominates blocks much smaller than this
 _KERNEL_BLOCK = 1024
-VERIFY_THRESHOLD = 1e-8
-VERIFY_RENORM_LIMIT = 1e-9
 
 # exit code per error class, first match wins; other handled errors exit 2
 EXIT_CODES = (
@@ -189,35 +186,25 @@ def _float_rows(block: "np.ndarray", layout: _RowLayout) -> str:
     return "".join(texts)
 
 
-def _as_block(rows: List[Sequence[object]]) -> "Union[List[Sequence[object]], np.ndarray]":
-    """The rows as a float64 array when every cell is exactly a float
-    (numpy floats and other subclasses take the cell-by-cell path)."""
-    if set(map(type, itertools.chain.from_iterable(rows))) != {float}:
-        return rows
-    import numpy as np
-    return np.array(rows, dtype=np.float64)
-
-
 def _blocks(rows: Iterable[object]) -> Iterator["Union[List[Sequence[object]], np.ndarray]"]:
     """The records in blocks of up to _BLOCK_ROWS. A 2-D float64 array
     among the rows holds records and passes through, as views of up to
-    _BLOCK_ROWS rows; the other rows are gathered in lists, and _as_block
-    turns an all-float list into an array."""
+    _BLOCK_ROWS rows; the other rows are gathered in lists."""
     block: List[Sequence[object]] = []
     for row in rows:
         if getattr(row, "ndim", 1) == 2:
             if block:
-                yield _as_block(block)
+                yield block
                 block = []
             for start in range(0, len(row), _BLOCK_ROWS):
                 yield row[start : start + _BLOCK_ROWS]
             continue
         block.append(row)
         if len(block) == _BLOCK_ROWS:
-            yield _as_block(block)
+            yield block
             block = []
     if block:
-        yield _as_block(block)
+        yield block
 
 
 def _write_csv(
@@ -439,9 +426,19 @@ def _finite_floats(values: List[object]) -> Optional[List[float]]:
     return floats if all(math.isfinite(v) for v in floats) else None
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """dict(pairs), or ValueError where json.load would let a repeated key's last value win."""
+    if len({key for key, _ in pairs}) < len(pairs):
+        raise ValueError("input repeats a key within one JSON object")
+    return dict(pairs)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.config_file, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("input nests too deeply to parse") from None
     if not isinstance(payload, dict):
         raise ValueError('input must be a JSON object with "thetas" and "mus"')
     thetas_raw = payload.get("thetas")

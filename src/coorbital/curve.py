@@ -19,22 +19,18 @@ import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import backend
+from .bounds import BOUNDARY_TOL, DEGENERATE_TOL, DENOM_TOL, EDGE_INSET, FIVE_PI_THIRD
+from .bounds import PI_THIRD, ROOT_WIDTH_TOL, SCAN_CELLS, TRACE_RESID_GATE, TWO_PI
 from .exceptions import (
     AngleDomainError,
     ConsistencyError,
     DegenerateDenominatorError,
     TraceResidualError,
 )
-from .kernel import EDGE_INSET, FIVE_PI_THIRD, PI_THIRD, TWO_PI, is_real_number, real_float
+from .kernel import is_real_number, real_float
 from .model import SymmetricConfig, kernel_values
 from .rootfind import Bracket, RootResult, _check_count, bracket_root, brackets_from_values
-from .rootfind import ROOT_WIDTH_TOL, converged_root, opposite_signs
-
-BOUNDARY_TOL = 1e-9
-DEGENERATE_TOL = 1e-9
-DENOM_TOL = 1e-12
-TRACE_RESID_GATE = 1e-10
-SCAN_CELLS = 4000
+from .rootfind import converged_root, opposite_signs
 
 BANDS = {
     "D1": (0.0, PI_THIRD),

@@ -27,25 +27,12 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple, Union
 
 from . import backend
-from .backend import TWO_PI
+from .bounds import FIVE_PI_THIRD, PI_THIRD, ROOT_WIDTH_TOL, TWO_PI
 from .exceptions import AngleDomainError, ConsistencyError
-from .rootfind import ROOT_WIDTH_TOL, Bracket, bracket_root, converged_root, opposite_signs
+from .rootfind import Bracket, bracket_root, converged_root, opposite_signs
 
 if TYPE_CHECKING:
     import numpy as np
-
-# shared constants, each comment naming the modules that read it
-# band edges at the kernel zeros (curve, catalog, theorems)
-PI_THIRD = math.pi / 3.0
-FIVE_PI_THIRD = 5.0 * math.pi / 3.0
-# kernel arguments this close to 0 or 2*pi count as collisions (model)
-COLLISION_TOL = 1e-12
-# root scans in theta1 start and stop this far inside the strip (curve, catalog)
-EDGE_INSET = 1e-6
-
-ZERO_LOW = PI_THIRD
-ZERO_MID = math.pi
-ZERO_HIGH = FIVE_PI_THIRD
 
 # one angle, or an ndarray of them
 Angles = Union[float, "np.ndarray"]
@@ -156,4 +143,4 @@ def critical_points() -> KernelProfile:
         width_tol=ROOT_WIDTH_TOL,
     )
     theta_c = converged_root(res, "derivative zero")
-    return KernelProfile(theta_c, TWO_PI - theta_c, (ZERO_LOW, ZERO_MID, ZERO_HIGH))
+    return KernelProfile(theta_c, TWO_PI - theta_c, (PI_THIRD, math.pi, FIVE_PI_THIRD))

@@ -14,18 +14,13 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import backend
-from .exceptions import (
-    AngleDomainError,
-    MassDomainError,
-    RankDeficiencyAbsentError,
-)
-from .kernel import COLLISION_TOL, TWO_PI, real_float
+from .bounds import ANGLE_SUM_TOL, COLLISION_TOL, RANK_TOL, TWO_PI
+from .exceptions import AngleDomainError, MassDomainError, RankDeficiencyAbsentError
+from .kernel import real_float
 
 if TYPE_CHECKING:
     import numpy as np
 
-ANGLE_SUM_TOL = 1e-12
-RANK_TOL = 1e-9
 # kernel terms per block of residual_general rows; bounds its temporaries
 _BLOCK_TERMS = 8192
 

@@ -13,14 +13,8 @@ from __future__ import annotations
 import math
 from typing import Callable, List, NamedTuple, Sequence
 
+from .bounds import MAX_ITER, RESID_TOL, SCAN_STEPS, WIDTH_TOL
 from .exceptions import ConsistencyError, NoSignChangeError
-
-WIDTH_TOL = 1e-12
-# width target of every root the package prints (kernel, curve, catalog, theorems)
-ROOT_WIDTH_TOL = 1e-14
-RESID_TOL = 1e-10
-MAX_ITER = 200
-SCAN_STEPS = 2000
 
 
 class Bracket(NamedTuple):

@@ -22,16 +22,11 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .backend import f_eval
+from .bounds import BRACKET_INSET, FIVE_PI_THIRD, GRID_INSET, GRID_POINTS, PI_THIRD
+from .bounds import RESIDUAL_GATE, ROOT_WIDTH_TOL, SQUARE_RESIDUAL_GATE, TWO_PI
 from .exceptions import ConsistencyError
-from .kernel import FIVE_PI_THIRD, PI_THIRD, TWO_PI
 from .model import MassVector, SymmetricConfig, residual_four
-from .rootfind import ROOT_WIDTH_TOL, bracket_root, converged_root, scan_brackets
-
-BRACKET_INSET = 1e-9
-RESIDUAL_GATE = 1e-9
-SQUARE_RESIDUAL_GATE = 1e-12
-GRID_POINTS = 2000
-GRID_INSET = 1e-4
+from .rootfind import bracket_root, converged_root, scan_brackets
 
 
 def pair_span_condition(theta: float, span: float) -> float:

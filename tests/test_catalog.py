@@ -3,10 +3,11 @@ import math
 
 import pytest
 
-from coorbital import catalog, curve, theorems
+from coorbital import catalog, cli, curve, theorems
 from coorbital.catalog import CATALOG_TOL, REFERENCE, build_catalog
 from coorbital.curve import r_diff_pole
 from coorbital.exceptions import CatalogMismatchError, ConsistencyError
+from coorbital.model import SymmetricConfig
 from coorbital.theorems import (
     SOLVERS,
     opposite_pair_condition,
@@ -153,3 +154,25 @@ def test_unconverged_refinement_raises(monkeypatch, fresh_caches, module, call, 
     monkeypatch.setattr(module, "bracket_root", unconverged)
     with pytest.raises(ConsistencyError, match=match):
         call()
+
+
+def test_reference_moved_past_the_catalog_tolerance_exits_5(monkeypatch, capsys, fresh_caches):
+    (ref1, ref2), *rest = catalog.POINTS["E"]
+    monkeypatch.setitem(catalog.POINTS, "E", ((ref1 + 2e-3, ref2), *rest))
+    assert cli.main(["special-points"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: point E: recomputed (0.816733, 1.047198) is ")
+    assert err.count("\n") == 1
+
+
+def test_T36_root_off_the_pi_third_crossing_exits_3(monkeypatch, capsys, fresh_caches):
+    # the catalog's upper crossing on the theta2 = pi/3 line must be T36's root
+    solution = theorems.solve_T36()
+    theta1, theta2 = solution.config.theta1 + 1e-6, solution.config.theta2
+    moved = solution._replace(config=SymmetricConfig.from_pair(theta1, theta2))
+    monkeypatch.setattr(catalog, "solve_T36", lambda: moved)
+    assert cli.main(["special-points"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: theta2=pi/3 upper crossing disagrees with the T36 root\n"

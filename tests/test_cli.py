@@ -293,6 +293,45 @@ def test_verify_malformed_json(capsys, tmp_path):
     assert code == 2
 
 
+QUARTER_TEXT = ", ".join([repr(PI / 2)] * 4)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000, "error: input nests too deeply to parse\n"),
+        (
+            f'{{"thetas": [9, 9, 9, 9], "thetas": [{QUARTER_TEXT}], "mus": [1, 2, 1, 2], '
+            '"extra": 1}',
+            "error: input repeats a key within one JSON object\n",
+        ),
+        (
+            f'{{"thetas": [{QUARTER_TEXT}], "mus": [1, 2, 1, 2], "extra": {{"a": 1, "a": 2}}}}',
+            "error: input repeats a key within one JSON object\n",
+        ),
+    ],
+    ids=["deep-nesting", "repeated-key", "repeated-key-in-unknown-member"],
+)
+def test_verify_unreadable_input_is_bad_input(tmp_path, text, message):
+    # a subprocess, so that a traceback on stderr would be seen; exit 1
+    # is a FAIL verdict, which neither file may be taken for, and the
+    # repeated-key file would read PASS if its last "thetas" won
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = subprocess.run(
+        [sys.executable, "-m", "coorbital", "verify", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", message)
+
+
+def test_verify_ignores_unknown_keys(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"thetas": [{QUARTER_TEXT}], "mus": [1, 2, 1, 2], "extra": [1]}}')
+    assert run_cli(capsys, ["verify", str(path)])[0] == 0
+
+
 def test_special_points_output(capsys):
     code, out, _ = run_cli(capsys, ["special-points"])
     assert code == 0
@@ -391,7 +430,7 @@ CELLS = st.one_of(
     CELL_TEXT,
 )
 NP_INT_CELLS = CELLS | st.integers(-2**63, 2**63 - 1).map(np.int64)
-# mostly plain floats, so that whole blocks take the writers' float path
+# mostly plain floats; list rows take the per-cell path, whatever their cells
 FLOAT_CELLS = st.floats(-1e6, 1e6) | st.floats() | st.sampled_from(ODD_FLOATS)
 
 
@@ -414,8 +453,7 @@ def test_streamed_records_equal_the_built_text(record, fmt):
     header, rows = record
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / f"records.{fmt}")
-        # with 3 rows per block, the up to 20 rows span blocks that mix
-        # float-only blocks and others
+        # with 3 rows per block, the up to 20 rows span several blocks
         for block_rows in (cli._BLOCK_ROWS, 3):
             with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
                 _check_streamed_bytes(fmt, header, rows, out)
@@ -450,6 +488,9 @@ def test_odd_cell_in_a_later_block_of_a_float_column(monkeypatch, tmp_path, fmt,
     rows[7] = (rows[7][0], odd)
     expected = _reference_text(fmt, MANIFEST, header, rows).encode("utf-8")
     assert _streamed_bytes(fmt, MANIFEST, header, rows) == expected
+    if type(odd) is float:
+        # the same rows as one array take the float path
+        assert _streamed_bytes(fmt, MANIFEST, header, [np.array(rows)]) == expected
     out = str(tmp_path / f"records.{fmt}")
     assert _streamed_bytes(fmt, MANIFEST, header, rows, out) == expected
 
@@ -470,7 +511,7 @@ def test_streamed_records_edge_cases(tmp_path, fmt, rows):
 
 def test_plain_float_blocks_skip_the_per_cell_json_path(monkeypatch):
     # keys holding the "e" and "." of float text must not push a plain
-    # block onto the slow path
+    # array block onto the slow path
     def per_cell(value):
         raise AssertionError(f"_json_value called for {value!r}")
 
@@ -479,7 +520,7 @@ def test_plain_float_blocks_skip_the_per_cell_json_path(monkeypatch):
     expected = _reference_text("json", MANIFEST, header, rows).encode("utf-8")
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
     monkeypatch.setattr(cli, "_json_value", per_cell)
-    assert _streamed_bytes("json", MANIFEST, header, rows) == expected
+    assert _streamed_bytes("json", MANIFEST, header, [np.array(rows)]) == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -713,7 +754,8 @@ def test_declined_rows_are_spliced_in_order(monkeypatch, fmt, where, block):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_array_blocks_and_rows_interleave(monkeypatch, fmt):
     # arrays pass through in views of _BLOCK_ROWS rows, and the rows
-    # between them are gathered into blocks of their own
+    # between them are gathered into list blocks of their own, even
+    # where every cell is a float
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
     header = ("a", "b")
     first = np.arange(18.0).reshape(9, 2) / 7.0
@@ -725,7 +767,7 @@ def test_array_blocks_and_rows_interleave(monkeypatch, fmt):
     assert _streamed_bytes(fmt, MANIFEST, header, stream) == expected
     blocks = list(cli._blocks(stream))
     assert [len(b) for b in blocks] == [1, 4, 4, 1, 2, 3]
-    assert [isinstance(b, list) for b in blocks] == [False] * 4 + [True, False]
+    assert [isinstance(b, list) for b in blocks] == [True, False, False, False, True, False]
 
 
 def test_readme_json_example_is_the_kernel_output(capsys):

@@ -24,7 +24,8 @@ from coorbital.exceptions import (
     DegenerateDenominatorError,
     TraceResidualError,
 )
-from coorbital.kernel import COLLISION_TOL, f_eval
+from coorbital.bounds import COLLISION_TOL
+from coorbital.kernel import f_eval
 from coorbital.model import (
     SymmetricConfig,
     kernel_values,

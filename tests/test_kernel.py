@@ -6,10 +6,9 @@ import pytest
 
 from coorbital.exceptions import AngleDomainError
 from coorbital.kernel import (
+    FIVE_PI_THIRD,
+    PI_THIRD,
     TWO_PI,
-    ZERO_HIGH,
-    ZERO_LOW,
-    ZERO_MID,
     critical_points,
     f_double_prime,
     f_eval,
@@ -23,9 +22,9 @@ FD_STEP = 1e-6
 
 
 def test_zeros_within_tolerance():
-    assert abs(f_eval(ZERO_LOW)) < ZERO_TOL
-    assert abs(f_eval(ZERO_MID)) < ZERO_TOL
-    assert abs(f_eval(ZERO_HIGH)) < ZERO_TOL
+    assert abs(f_eval(PI_THIRD)) < ZERO_TOL
+    assert abs(f_eval(math.pi)) < ZERO_TOL
+    assert abs(f_eval(FIVE_PI_THIRD)) < ZERO_TOL
 
 
 def test_reference_value_at_right_angle():
@@ -75,10 +74,10 @@ def test_reflection_identity_scaled():
 def test_sign_table():
     inset = 1e-6
     for lo, hi, sign in (
-        (inset, ZERO_LOW - inset, -1.0),
-        (ZERO_LOW + inset, ZERO_MID - inset, 1.0),
-        (ZERO_MID + inset, ZERO_HIGH - inset, -1.0),
-        (ZERO_HIGH + inset, TWO_PI - inset, 1.0),
+        (inset, PI_THIRD - inset, -1.0),
+        (PI_THIRD + inset, math.pi - inset, 1.0),
+        (math.pi + inset, FIVE_PI_THIRD - inset, -1.0),
+        (FIVE_PI_THIRD + inset, TWO_PI - inset, 1.0),
     ):
         for t in np.linspace(lo, hi, 300):
             assert sign * f_eval(t) > 0.0, f"sign break at theta={t!r}"

@@ -16,7 +16,8 @@ from coorbital.exceptions import (
     MassDomainError,
     RankDeficiencyAbsentError,
 )
-from coorbital.kernel import COLLISION_TOL, f_eval
+from coorbital.bounds import COLLISION_TOL
+from coorbital.kernel import f_eval
 from coorbital.model import (
     AngleConfig,
     MassMatrix,
