@@ -8,6 +8,9 @@ import math
 TWO_PI = 2.0 * math.pi
 PI_THIRD = math.pi / 3.0
 FIVE_PI_THIRD = 5.0 * math.pi / 3.0
+# the bracket of f's derivative zero below pi (kernel)
+CRITICAL_LO = 3.0 * math.pi / 5.0
+CRITICAL_HI = 2.0 * math.pi / 3.0
 
 # insets
 # root scans in theta1 start and stop this far inside the strip (curve, catalog)
@@ -15,6 +18,10 @@ EDGE_INSET = 1e-6
 BRACKET_INSET = 1e-9
 GRID_INSET = 1e-4
 KERNEL_GRID_DELTA = 1e-4
+# the catalog's endpoint scans stop this far below the strip's top
+STRIP_TOP_INSET = 1e-9
+# the D4 count's theta2 grid starts and stops this far inside its band (curve)
+D4_BAND_INSET = 1e-3
 
 # grid counts
 SCAN_STEPS = 2000
@@ -37,9 +44,13 @@ DENOM_TOL = 1e-12
 # case gates
 RESIDUAL_GATE = 1e-9
 SQUARE_RESIDUAL_GATE = 1e-12
+# T35's solvability grid drops the nodes this close to pi/3 and pi
+T35_EXCLUSION = 1e-6
 
 # catalog
 CATALOG_TOL = 1e-3
+# the theta2 = pi/3 line's upper crossing A must match T36's root this closely
+CROSS_CHECK_TOL = 1e-9
 # scans on lines where f(theta2) is a rounding-level residue stay this
 # far from the theta4 -> 0 corner, where that residue times the
 # diverging f(theta4) would fabricate a sign change

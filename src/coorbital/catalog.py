@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import backend
-from .bounds import CATALOG_TOL, CORNER_MARGIN, EDGE_INSET, ENDPOINT_OFFSETS, FIVE_PI_THIRD
-from .bounds import PI_THIRD, ROOT_WIDTH_TOL, TWO_PI
+from .bounds import CATALOG_TOL, CORNER_MARGIN, CROSS_CHECK_TOL, EDGE_INSET, ENDPOINT_OFFSETS
+from .bounds import FIVE_PI_THIRD, PI_THIRD, ROOT_WIDTH_TOL, STRIP_TOP_INSET, TWO_PI
 from .exceptions import CatalogMismatchError, ConsistencyError
 from .rootfind import Bracket, bracket_root, converged_root, opposite_signs, scan_brackets
 from .theorems import solve_T32, solve_T33, solve_T34, solve_T36, solve_T37
@@ -139,7 +139,7 @@ def _edge_limit(label: str) -> Tuple[float, float]:
     samples = []
     for h in ENDPOINT_OFFSETS:
         theta2 = line(h)
-        top = math.pi - 0.5 * theta2 - 1e-9 if hi is None else hi
+        top = math.pi - 0.5 * theta2 - STRIP_TOP_INSET if hi is None else hi
         samples.append((h, _root_between(theta2, lo, top, f"endpoint {label}")))
     return _cube_root_extrapolate(samples), line(0.0)
 
@@ -158,7 +158,7 @@ def build_catalog() -> SpecialPointCatalog:
     e_root, a_root = _scan_line(
         PI_THIRD, math.pi - 0.5 * PI_THIRD - CORNER_MARGIN, 2, "theta2=pi/3 line"
     )
-    if abs(a_root - solved["T36"].config.theta1) > 1e-9:
+    if abs(a_root - solved["T36"].config.theta1) > CROSS_CHECK_TOL:
         raise ConsistencyError("theta2=pi/3 upper crossing disagrees with the T36 root")
 
     # F_pt: the single crossing on the theta2 = pi line

@@ -147,34 +147,37 @@ def _target(out: Optional[str]) -> Iterator[TextIO]:
 
 
 class _RowLayout(NamedTuple):
-    """How a writer lays out one record: after the cell of each output
-    column its separator, the last one ending the record, and the
-    per-cell formatter of the records that _float_rows declines."""
+    """How a writer lays out one record: output column j shows the
+    record's column order[j] and is followed by separators[j], the last
+    one ending the record; cell formats each cell of the records that
+    _float_rows declines."""
 
+    order: Tuple[int, ...]
     separators: Tuple[str, ...]
     cell: Callable[[object], str]
     # JSON: an integral float needs a ".0" that format(x, ".12g") lacks
     needs_point: bool
 
 
-def _cell_row(cells: Iterable[object], layout: _RowLayout) -> str:
-    """One record, its cells in output order, formatted cell by cell."""
-    return "".join(map(operator.add, map(layout.cell, cells), layout.separators))
+def _cell_row(row: Sequence[object], layout: _RowLayout) -> str:
+    """One record, formatted cell by cell in output order."""
+    cells = map(layout.cell, map(row.__getitem__, layout.order))
+    return "".join(map(operator.add, cells, layout.separators))
 
 
 def _float_rows(block: "np.ndarray", layout: _RowLayout) -> str:
-    """The records of a float64 block of shape (rows, columns), columns in
-    output order, each cell exactly layout.cell's text: format(x, ".12g")
-    or _json_value(x).
+    """The records of a float64 block of shape (rows, columns), each cell
+    exactly layout.cell's text: format(x, ".12g") or _json_value(x).
 
-    floattext.fill_cells writes the records into one NUL-padded byte
-    matrix, and deleting the NULs gives the text. The records it declines
-    are left out of the matrix and written by _cell_row in their place.
+    floattext.fill_cells writes the records into one byte matrix, NUL
+    where a cell's text is shorter than its slot, and deleting the NULs
+    gives the text. The records it declines are left out of the matrix
+    and written by _cell_row in their place.
     floattext is imported here, so that a launch without a float block
     neither compiles it nor imports numpy."""
     from .floattext import fill_cells
 
-    matrix, declined, ends = fill_cells(block, layout.separators, layout.needs_point)
+    matrix, declined, ends = fill_cells(block, layout.separators, layout.order, layout.needs_point)
     text = matrix.translate(None, b"\0")
     if not declined:
         return text.decode()
@@ -219,7 +222,8 @@ def _write_csv(
         fh.write(line + "\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    layout = _RowLayout((",",) * (len(header) - 1) + ("\n",), _fmt, False)
+    separators = (",",) * (len(header) - 1) + ("\n",)
+    layout = _RowLayout(tuple(range(len(header))), separators, _fmt, False)
     for block in _blocks(rows):
         if isinstance(block, list):
             writer.writerows([_fmt(v) for v in row] for row in block)
@@ -238,19 +242,19 @@ def _write_json(
     Each object ends by opening the next one, so the text of a block is
     written once the next block is known, and that of the last one
     without its final opening."""
-    order = sorted(range(len(header)), key=header.__getitem__)
+    order = tuple(sorted(range(len(header)), key=header.__getitem__))
     keys = [json.dumps(header[i]) + ": " for i in order]
     opening = "\n    {\n      " + keys[0]
     separators = [",\n      " + key for key in keys[1:]] + ["\n    }," + opening]
-    layout = _RowLayout(tuple(separators), _json_value, True)
+    layout = _RowLayout(order, tuple(separators), _json_value, True)
     fh.write('{\n  "data": [')
     text = None
     for block in _blocks(rows):
         fh.write(opening if text is None else text)
         if isinstance(block, list):
-            text = "".join(_cell_row(map(row.__getitem__, order), layout) for row in block)
+            text = "".join(_cell_row(row, layout) for row in block)
         else:
-            text = _float_rows(block[:, order], layout)
+            text = _float_rows(block, layout)
     fh.write("],\n" if text is None else text[: -len(opening) - 1] + "\n  ],\n")
     meta = json.dumps(manifest._asdict(), indent=2, sort_keys=True)
     fh.write('  "manifest": ' + meta.replace("\n", "\n  ") + "\n}\n")

@@ -19,7 +19,7 @@ import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import backend
-from .bounds import BOUNDARY_TOL, DEGENERATE_TOL, DENOM_TOL, EDGE_INSET, FIVE_PI_THIRD
+from .bounds import BOUNDARY_TOL, D4_BAND_INSET, DEGENERATE_TOL, DENOM_TOL, EDGE_INSET, FIVE_PI_THIRD
 from .bounds import PI_THIRD, ROOT_WIDTH_TOL, SCAN_CELLS, TRACE_RESID_GATE, TWO_PI
 from .exceptions import (
     AngleDomainError,
@@ -234,7 +234,7 @@ def d4_region_count(n: int = 200) -> int:
     _check_count(n, 1, "n")
     import numpy as np
     count = 0
-    for theta2 in np.linspace(FIVE_PI_THIRD + 1e-3, TWO_PI - 1e-3, n):
+    for theta2 in np.linspace(FIVE_PI_THIRD + D4_BAND_INSET, TWO_PI - D4_BAND_INSET, n):
         hi = math.pi - 0.5 * float(theta2) - EDGE_INSET
         if hi <= EDGE_INSET:
             continue

@@ -2,11 +2,13 @@
 
 A finite nonzero x at decimal exponent e = floor(log10|x|) in [-4, 12)
 is written in fixed notation from the 12-digit integer D = round(|x| *
-10**(11 - e)), D in [1e11, 1e12). Its text is a subsequence of CELL:
-the sign, the "0.000" that leads numbers below 1, then the 12 digits of
-D (the \\xff slots), each followed by a "." slot. Which bytes are kept
-depends on the sign, on e and on the number n of significant digits of
-D alone, so one table row per (sign, e, n) picks them.
+10**(11 - e)), D in [1e11, 1e12). Its text is a subsequence of a cell
+of four 8-byte words: LEAD, the sign and the "0.000" that leads numbers
+below 1, then one word per group of four digits of D, each digit
+followed by a "." slot. Which bytes are kept depends on the sign, on e
+and on the number n of significant digits of D alone, so one row of
+four words per (sign, e, n) picks them. The word and mask lookups take
+8-byte items, which numpy's take copies without a per-item memmove.
 
 Only ``cli`` imports this module, on the first block of float records
 it writes, so that launches without one neither compile it nor import
@@ -17,7 +19,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-CELL = b"-0.000" + b"\xff." * 12
+LEAD = b"-0.000\0\0"
+WIDTH = 32
 # |x| * 10**(11 - e) is one correctly rounded product by an exact power
 # of ten, so below 2**40 it is off by at most 2**-14; a cell this near a
 # .5 tie may round either way and is declined
@@ -25,52 +28,58 @@ TIE_MARGIN = 0.5 - 2.0**-12
 
 
 def _keep_table() -> "np.ndarray":
-    """keep[(sign * 16 + e + 4) * 12 + n - 1] is CELL with its bytes
-    outside the text of a cell of that sign, e and n set to NUL."""
-    cell = np.frombuffer(CELL, np.uint8)
-    keep = np.zeros((2, 16, 12, len(CELL)), np.uint8)
+    """keep[(sign * 16 + e + 4) * 12 + n - 1] is the cell mask of that
+    sign, e and n: its lead word holds the lead's text, and its digit
+    words hold \\xff over the digit and "." slots of the text, NUL
+    elsewhere."""
+    lead = np.frombuffer(LEAD, np.uint8)
+    keep = np.zeros((2, 16, 12, WIDTH), np.uint8)
     for sign in (0, 1):
         for e in range(-4, 12):
             for n in range(1, 13):
                 row = keep[sign, e + 4, n - 1]
-                row[0] = cell[0] * sign
+                row[0] = lead[0] * sign
                 if e < 0:
-                    row[1 : 2 - e] = cell[1 : 2 - e]
-                    row[6 : 6 + 2 * n : 2] = 0xFF
+                    row[1 : 2 - e] = lead[1 : 2 - e]
+                    row[8 : 8 + 2 * n : 2] = 0xFF
                 else:
-                    row[6 : 6 + 2 * max(n, e + 1) : 2] = 0xFF
+                    row[8 : 8 + 2 * max(n, e + 1) : 2] = 0xFF
                     if n > e + 1:
-                        row[7 + 2 * e] = cell[7 + 2 * e]
-    return keep.view(f"S{len(CELL)}").ravel()
+                        row[9 + 2 * e] = 0xFF
+    return keep.view(np.uint64).reshape(-1, WIDTH // 8)
 
 
 _KEEP = _keep_table()
 _POW10 = np.array([float(10**k) for k in range(16)])
-# "d.d." for the three digits of g < 1000, and at 1000 six \xff bytes
-# that pass the sign and "0.000" of a cell through
-_GROUPS = np.frombuffer(
-    "".join(".".join(f"{g:03d}") + "." for g in range(1000)).encode() + b"\xff" * 6, "S6"
-)
 
 
-def _significant_table() -> "np.ndarray":
-    """[j, g] is, for D's j-th group g of three digits, the count of D's
-    digits up to the last nonzero one in g, or 0 when g is 000."""
-    g = np.arange(1000)
-    return np.where(g > 0, 3 * np.arange(1, 5)[:, None] - (g % 10 == 0) - (g % 100 == 0), 0)
+def _group_tables() -> "Tuple[np.ndarray, np.ndarray]":
+    """The word "d.d.d.d." of the four digits of each group g < 10000,
+    and at 10000 a word of \\xff bytes that passes a cell's lead through;
+    and [j, g], for D's j-th group g of four digits, the count of D's
+    digits up to the last nonzero one in g, or 0 when g is 0000."""
+    # narrow integers keep the temporaries, and so a launch's peak memory, small
+    g = np.arange(10000, dtype=np.int16)
+    words = np.full((10001, 8), ord("."), np.uint8)
+    for slot, power in enumerate((1000, 100, 10, 1)):
+        words[:-1, 2 * slot] = ord("0") + g // power % 10
+    words[-1] = 0xFF
+    trailing = (g % 10 == 0).astype(np.int8) + (g % 100 == 0) + (g % 1000 == 0)
+    count = np.arange(4, 13, 4, dtype=np.int8)[:, None] - trailing
+    return words.view(np.uint64).ravel(), count * (g > 0)
 
 
-_SIGNIFICANT = _significant_table()
+_WORDS, _SIGNIFICANT = _group_tables()
 
 
 def fill_cells(
-    block: "np.ndarray", separators: Sequence[str], needs_point: bool
+    block: "np.ndarray", separators: Sequence[str], order: Sequence[int], needs_point: bool
 ) -> Tuple[bytearray, List[int], List[int]]:
     """The byte matrix of the records of a float64 block of shape (rows,
-    columns): each cell as CELL with the bytes outside its text set to
-    NUL, then its separator padded with NUL to the longest one. Also
-    returns the declined rows, left all NUL, and when there are any, the
-    count of text bytes up to the end of each row.
+    columns), output column j holding block column order[j]: each cell
+    as WIDTH bytes with those outside its text set to NUL, then its own
+    separator. Also returns the declined rows, left all NUL, and when
+    there are any, the count of text bytes up to the end of each row.
 
     A cell is declined when it is zero or not finite, when e lies outside
     [-4, 12), when the scaled product lies within 2**-12 of a .5 tie, when
@@ -89,36 +98,38 @@ def fill_cells(
         # cell unless it rounds to 10**e either way
         ok &= (scaled >= 1e11) & (d < 1e12) & (np.abs(scaled - d) < TIE_MARGIN)
     d = np.where(ok, d, 1e11)
-    # g[..., 0] picks the bytes before D's digits, g[..., 1:] are D's
-    # groups of three digits; every quotient here is exact in float64
-    g = np.empty((m, k, 5), np.intp)
-    g[..., 0] = 1000
-    for i, part in ((1, np.floor(d / 1e6)), (3, d % 1e6)):
-        top = np.floor(part / 1e3)
-        g[..., i] = top
-        g[..., i + 1] = part - top * 1e3
+    # g[..., 0] picks the word that passes the lead through, g[..., 1:]
+    # are D's groups of four digits; each floored quotient and each
+    # product here is exact in float64, and subtracting the products
+    # takes the remainders faster than numpy's float % would
+    top = np.floor(d / 1e8)
+    rest = d - top * 1e8
+    mid = np.floor(rest / 1e4)
+    g = np.empty((m, k, 4), np.intp)
+    g[..., 0] = 10000
+    g[..., 1] = top
+    g[..., 2] = mid
+    g[..., 3] = rest - mid * 1e4
+    # the take methods skip np.take's Python wrapper, a cost per call
     n = np.maximum(
-        np.maximum(np.take(_SIGNIFICANT[0], g[..., 1]), np.take(_SIGNIFICANT[1], g[..., 2])),
-        np.maximum(np.take(_SIGNIFICANT[2], g[..., 3]), np.take(_SIGNIFICANT[3], g[..., 4])),
+        np.maximum(_SIGNIFICANT[0].take(g[..., 1]), _SIGNIFICANT[1].take(g[..., 2])),
+        _SIGNIFICANT[2].take(g[..., 3]),
     )
     if needs_point:
         ok &= n > e + 1
-    width = len(CELL)
+    cells = _KEEP.take((np.signbit(block) * 16 + e + 4) * 12 + n - 1, axis=0)
+    np.bitwise_and(cells, _WORDS.take(g), out=cells)
     encoded = [sep.encode() for sep in separators]
-    slot = max(map(len, encoded))
-    matrix = bytearray(m * k * (width + slot))
-    cells = np.frombuffer(matrix, np.uint8).reshape(m, k, width + slot)
-    pattern = (np.signbit(block) * 16 + e + 4) * 12 + n - 1
-    np.bitwise_and(
-        np.take(_KEEP, pattern).view(np.uint8).reshape(m, k, width),
-        np.take(_GROUPS, g).view(np.uint8).reshape(m, k, width),
-        out=cells[..., :width],
-    )
-    padded = b"".join(sep.ljust(slot, b"\0") for sep in encoded)
-    cells[..., width:] = np.frombuffer(padded, np.uint8).reshape(k, slot)
+    record = b"".join(b"\0" * WIDTH + sep for sep in encoded)
+    matrix = bytearray(record * m)
+    rows = np.frombuffer(matrix, np.uint8).reshape(m, len(record))
+    texts = cells.view(np.uint8)
+    start = 0
+    for column, sep in zip(order, encoded):
+        rows[:, start : start + WIDTH] = texts[:, column]
+        start += WIDTH + len(sep)
     declined = sorted(set((np.flatnonzero(~ok) // k).tolist()))
     if not declined:
         return matrix, declined, []
-    rows = cells.reshape(m, -1)
     rows[declined] = 0
     return matrix, declined, np.cumsum(np.count_nonzero(rows, axis=1)).tolist()

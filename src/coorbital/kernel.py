@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple, Union
 
 from . import backend
-from .bounds import FIVE_PI_THIRD, PI_THIRD, ROOT_WIDTH_TOL, TWO_PI
+from .bounds import CRITICAL_HI, CRITICAL_LO, FIVE_PI_THIRD, PI_THIRD, ROOT_WIDTH_TOL, TWO_PI
 from .exceptions import AngleDomainError, ConsistencyError
 from .rootfind import Bracket, bracket_root, converged_root, opposite_signs
 
@@ -131,15 +131,13 @@ class KernelProfile(NamedTuple):
 @lru_cache(maxsize=1)
 def critical_points() -> KernelProfile:
     """Locate the derivative zeros bracketed by [3*pi/5, 2*pi/3]."""
-    lo = 3.0 * math.pi / 5.0
-    hi = 2.0 * math.pi / 3.0
-    f_lo = backend.f_prime(lo)
-    f_hi = backend.f_prime(hi)
+    f_lo = backend.f_prime(CRITICAL_LO)
+    f_hi = backend.f_prime(CRITICAL_HI)
     if not opposite_signs(f_lo, f_hi):
         raise ConsistencyError("derivative does not change sign on [3*pi/5, 2*pi/3]")
     res = bracket_root(
         backend.f_prime,
-        Bracket(lo, hi, f_lo, f_hi),
+        Bracket(CRITICAL_LO, CRITICAL_HI, f_lo, f_hi),
         width_tol=ROOT_WIDTH_TOL,
     )
     theta_c = converged_root(res, "derivative zero")

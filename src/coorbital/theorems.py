@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .backend import f_eval
 from .bounds import BRACKET_INSET, FIVE_PI_THIRD, GRID_INSET, GRID_POINTS, PI_THIRD
-from .bounds import RESIDUAL_GATE, ROOT_WIDTH_TOL, SQUARE_RESIDUAL_GATE, TWO_PI
+from .bounds import RESIDUAL_GATE, ROOT_WIDTH_TOL, SQUARE_RESIDUAL_GATE, T35_EXCLUSION, TWO_PI
 from .exceptions import ConsistencyError
 from .model import MassVector, SymmetricConfig, residual_four
 from .rootfind import bracket_root, converged_root, scan_brackets
@@ -233,7 +233,7 @@ def check_T35() -> CaseSolution:
     kept = [
         t
         for t in _band(0.0, hi)
-        if abs(t - PI_THIRD) >= 1e-6 and abs(t - math.pi) >= 1e-6
+        if abs(t - PI_THIRD) >= T35_EXCLUSION and abs(t - math.pi) >= T35_EXCLUSION
     ]
     values = [
         f_eval(t) * f_eval(hi - t) + f_eval(PI_THIRD + t) ** 2 for t in kept

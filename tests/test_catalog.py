@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from coorbital import catalog, cli, curve, theorems
+from coorbital import backend, catalog, cli, curve, kernel, theorems
 from coorbital.catalog import CATALOG_TOL, REFERENCE, build_catalog
 from coorbital.curve import r_diff_pole
 from coorbital.exceptions import CatalogMismatchError, ConsistencyError
@@ -119,6 +119,7 @@ def test_mismatch_error_type():
 
 def _clear_solver_caches():
     build_catalog.cache_clear()
+    kernel.critical_points.cache_clear()
     for solver in SOLVERS.values():
         solver.cache_clear()
 
@@ -176,3 +177,35 @@ def test_T36_root_off_the_pi_third_crossing_exits_3(monkeypatch, capsys, fresh_c
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: theta2=pi/3 upper crossing disagrees with the T36 root\n"
+
+
+@pytest.mark.parametrize(
+    "tag, flipped_at, message",
+    [
+        # ratio f(theta1)/f(pi - theta1) of the first mirrored-pair root
+        ("T33", lambda s: [math.pi - s.rejected[0].evidence["theta1"]],
+         "T33: mirrored-pair root has a positive mass ratio"),
+        # m = f(theta4) / (2*f(theta1))
+        ("T36", lambda s: [s.config.theta4], "T36: sample masses are not positive"),
+        # m = f(theta2) / (2*f(theta1))
+        ("T37", lambda s: [s.config.theta2], "T37: sample masses are not positive"),
+    ],
+)
+def test_case_sign_gate_exits_3(monkeypatch, capsys, fresh_caches, tag, flipped_at, message):
+    # the kernel the solver sees changes sign only at the angle its mass
+    # ratio reads, so the roots are found as before and the gate fires
+    angles = set(flipped_at(SOLVERS[tag]()))
+    _clear_solver_caches()
+    real = theorems.f_eval
+    monkeypatch.setattr(theorems, "f_eval", lambda t: -real(t) if t in angles else real(t))
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        SOLVERS[tag]()
+    assert cli.main(["theorem", "--tag", tag]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_critical_points_need_a_sign_change_of_the_derivative(monkeypatch, fresh_caches):
+    real = backend.f_prime
+    monkeypatch.setattr(backend, "f_prime", lambda t: abs(real(t)))
+    with pytest.raises(ConsistencyError, match=r"derivative does not change sign on \[3\*pi/5"):
+        kernel.critical_points()

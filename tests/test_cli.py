@@ -332,6 +332,39 @@ def test_verify_ignores_unknown_keys(capsys, tmp_path):
     assert run_cli(capsys, ["verify", str(path)])[0] == 0
 
 
+TRACE_ARGV = ["trace", "--region", "D2", "--range", "1.2:2.2", "--steps", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (TRACE_ARGV[:4] + ["1.2"] + TRACE_ARGV[5:], None, "range must look like a:b, got '1.2'"),
+        (TRACE_ARGV[:4] + ["1.2:1.7:2.2"] + TRACE_ARGV[5:], None,
+         "range must look like a:b, got '1.2:1.7:2.2'"),
+        (TRACE_ARGV[:-1] + ["0"], None, "steps must be at least 1"),
+        (["verify"], f"[{QUARTER_TEXT}]",
+         'input must be a JSON object with "thetas" and "mus"'),
+        (["verify"], '{"thetas": 1.5, "mus": [1, 2, 1, 2]}',
+         'input must provide "thetas" and "mus" as lists'),
+        (["verify"], f'{{"thetas": [{QUARTER_TEXT}]}}',
+         'input must provide "thetas" and "mus" as lists'),
+        (["verify"], f'{{"thetas": [{QUARTER_TEXT}], "mus": [1, 2, 1]}}',
+         "need matching lists of at least 3 angles and masses"),
+        (["verify"], '{"thetas": [3.0, 3.2831853071795862], "mus": [1, 1]}',
+         "need matching lists of at least 3 angles and masses"),
+    ],
+    ids=["range-one-part", "range-three-parts", "trace-zero-steps", "verify-not-an-object",
+         "verify-thetas-not-a-list", "verify-mus-missing", "verify-lengths-differ",
+         "verify-two-satellites"],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        argv = argv + [str(path)]
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_special_points_output(capsys):
     code, out, _ = run_cli(capsys, ["special-points"])
     assert code == 0
@@ -613,7 +646,7 @@ DECLINED = "<declined>"
 def _float_path_cells(values, fmt):
     """Each value as one row of a float64 block through cli._float_rows:
     its text, or DECLINED where the row went to the per-cell path."""
-    layout = cli._RowLayout(("\n",), lambda value: DECLINED, fmt == "json")
+    layout = cli._RowLayout((0,), ("\n",), lambda value: DECLINED, fmt == "json")
     block = np.array(values, dtype=np.float64).reshape(-1, 1)
     return cli._float_rows(block, layout).split("\n")[:-1]
 
@@ -681,6 +714,62 @@ def test_float_path_declines_ties_and_exponent_forms():
     # integral text lacks JSON's ".0"
     assert _float_path_cells([3.0, -120.0, 3.5], "json") == [DECLINED, DECLINED, "3.5"]
     assert _float_path_cells([3.0, -120.0, 3.5], "csv") == ["3", "-120", "3.5"]
+
+
+# values each float block declines in both formats: a near-tie, an
+# exponent form at either end, zero and nan
+BLOCK_DECLINED = [999999999999.5, 1e-5, 1e13, 0.0, math.nan]
+KERNEL_HEADER = ("theta", "f", "f_prime", "f_double_prime")
+TRACE_HEADER = ("theta1", "theta2", "theta4", "lambda", "r_sum", "r_diff", "degenerate")
+
+
+def _block_layout(fmt, header):
+    """The layout _write_csv or _write_json gives records keyed by header."""
+    if fmt == "csv":
+        return cli._RowLayout(
+            tuple(range(len(header))), (",",) * (len(header) - 1) + ("\n",), cli._fmt, False
+        )
+    order = tuple(sorted(range(len(header)), key=header.__getitem__))
+    keys = [json.dumps(header[i]) + ": " for i in order]
+    opening = "\n    {\n      " + keys[0]
+    separators = [",\n      " + key for key in keys[1:]] + ["\n    }," + opening]
+    return cli._RowLayout(order, tuple(separators), cli._json_value, True)
+
+
+@st.composite
+def _float_blocks(draw):
+    """Two float64 blocks of 2-7 columns under a kernel or trace header,
+    with declined cells in the first, a middle and the last column of
+    each block."""
+    header = draw(st.sampled_from([KERNEL_HEADER, TRACE_HEADER]))
+    k = draw(st.integers(2, len(header)))
+    cells = st.floats() | st.floats(-1e13, 1e13) | st.floats(-1e-3, 1e-3)
+    blocks = []
+    for _ in range(2):
+        m = draw(st.integers(3, 12))
+        block = np.array(draw(st.lists(cells, min_size=m * k, max_size=m * k))).reshape(m, k)
+        for column in (0, k // 2, k - 1):
+            row = draw(st.integers(0, m - 1))
+            block[row, column] = draw(st.sampled_from(BLOCK_DECLINED))
+        blocks.append(block)
+    return header[:k], blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(_float_blocks())
+def test_float_path_writes_multi_column_blocks_row_for_row(case):
+    # each output column has its own separator width, and JSON reorders
+    # the columns, so a cell at a wrong offset or column shows here
+    header, blocks = case
+    for fmt in ("csv", "json"):
+        layout = _block_layout(fmt, header)
+        for block in blocks:
+            text = cli._float_rows(block, layout)
+            for row in block.tolist():
+                expected = cli._cell_row(row, layout)
+                assert text[: len(expected)] == expected, (fmt, row)
+                text = text[len(expected) :]
+            assert text == ""
 
 
 def _count_cell_rows(monkeypatch):
