@@ -27,6 +27,8 @@ D4_BAND_INSET = 1e-3
 SCAN_STEPS = 2000
 SCAN_CELLS = 4000
 GRID_POINTS = 2000
+# the most theta2 lines one trace may ask for (cli); refused before any grid is built
+TRACE_MAX_STEPS = 1000000
 
 # root finding
 WIDTH_TOL = 1e-12

@@ -92,10 +92,10 @@ def _scan_line(theta2: float, hi: float, count: int, what: str) -> list:
             f"{what}: expected {count} curve crossings at theta2={theta2}, "
             f"found {len(brackets)}"
         )
-    return sorted(
+    return [
         converged_root(bracket_root(fn, br, width_tol=ROOT_WIDTH_TOL), what)
         for br in brackets
-    )
+    ]
 
 
 def _root_between(theta2: float, lo: float, hi: float, what: str) -> float:

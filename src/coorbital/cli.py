@@ -41,7 +41,7 @@ from typing import (
 
 from . import __version__
 from .bounds import ANGLE_SUM_TOL, CATALOG_TOL, KERNEL_GRID_DELTA, RESIDUAL_GATE, ROOT_WIDTH_TOL
-from .bounds import TRACE_RESID_GATE, TWO_PI, VERIFY_RENORM_LIMIT, VERIFY_THRESHOLD
+from .bounds import TRACE_MAX_STEPS, TRACE_RESID_GATE, TWO_PI, VERIFY_RENORM_LIMIT, VERIFY_THRESHOLD
 from .catalog import build_catalog
 from .curve import trace_curve
 from .exceptions import (
@@ -394,6 +394,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.theta2_range)
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
+    if args.steps > TRACE_MAX_STEPS:
+        raise ValueError(f"steps must be at most {TRACE_MAX_STEPS}, got {args.steps}")
     import numpy as np
     grid = [float(t) for t in np.linspace(lo, hi, args.steps)]
     points = trace_curve(args.region, grid, width_tol=ROOT_WIDTH_TOL)

@@ -135,18 +135,12 @@ def _line_roots(theta2: float, width_tol: float) -> List[RootResult]:
     each refined with its residual."""
     lo = EDGE_INSET
     hi = math.pi - 0.5 * theta2 - EDGE_INSET
-    if hi <= lo:
-        return []
     values = backend.curve_scan(theta2, lo, hi, SCAN_CELLS)
     fn = lambda t: backend.curve_eval(t, theta2)
     results = []
     for br in brackets_from_values(lo, hi, values):
         res = bracket_root(fn, br, width_tol=width_tol, resid_tol=0.0)
-        if not res.converged:
-            raise ConsistencyError(
-                f"curve root on the theta2={theta2!r} line did not reach width "
-                f"{width_tol!r} in [{br.lo!r}, {br.hi!r}]"
-            )
+        converged_root(res, f"curve root on the theta2={theta2!r} line")
         results.append(res)
     return results
 
@@ -236,8 +230,6 @@ def d4_region_count(n: int = 200) -> int:
     count = 0
     for theta2 in np.linspace(FIVE_PI_THIRD + D4_BAND_INSET, TWO_PI - D4_BAND_INSET, n):
         hi = math.pi - 0.5 * float(theta2) - EDGE_INSET
-        if hi <= EDGE_INSET:
-            continue
         for theta1 in np.linspace(EDGE_INSET, hi, n):
             if region_classify(float(theta1), float(theta2)) == "D4":
                 count += 1

@@ -67,8 +67,8 @@ def _domain_error(theta: float, where: str = "") -> AngleDomainError:
 def _evaluate(theta: Angles, fn: Callable) -> Angles:
     """fn(float(theta)), or fn(theta, numpy) for an ndarray with ndim >= 1,
     once every angle is known to lie in (0, 2*pi); NaN lies outside.
-    The kernel functions below handle an in-domain float themselves and
-    pass everything else here."""
+    The one checked entry of the kernel functions below, for one angle
+    and for an array alike."""
     np = sys.modules.get("numpy")
     if np is not None and isinstance(theta, np.ndarray) and theta.ndim:
         if not is_real_number(theta):
@@ -91,28 +91,16 @@ def _evaluate(theta: Angles, fn: Callable) -> Angles:
 def f_eval(theta: Angles) -> Angles:
     """Kernel value at separation theta in (0, 2*pi), or the array of
     values at an ndarray of separations."""
-    if isinstance(theta, float):
-        theta = float(theta)
-        if 0.0 < theta < TWO_PI:
-            return backend.f_eval(theta)
     return _evaluate(theta, backend.f_eval)
 
 
 def f_prime(theta: Angles) -> Angles:
     """First derivative of the kernel, at one angle or an ndarray."""
-    if isinstance(theta, float):
-        theta = float(theta)
-        if 0.0 < theta < TWO_PI:
-            return backend.f_prime(theta)
     return _evaluate(theta, backend.f_prime)
 
 
 def f_double_prime(theta: Angles) -> Angles:
     """Second derivative of the kernel, at one angle or an ndarray."""
-    if isinstance(theta, float):
-        theta = float(theta)
-        if 0.0 < theta < TWO_PI:
-            return backend.f_double_prime(theta)
     return _evaluate(theta, backend.f_double_prime)
 
 

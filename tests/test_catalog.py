@@ -1,9 +1,11 @@
 """Special-point catalog: recomputed coordinates and degeneracy flags."""
 import math
+import re
 
 import pytest
 
 from coorbital import backend, catalog, cli, curve, kernel, theorems
+from coorbital.bounds import ENDPOINT_OFFSETS, FIVE_PI_THIRD, RESIDUAL_GATE, SQUARE_RESIDUAL_GATE
 from coorbital.catalog import CATALOG_TOL, REFERENCE, build_catalog
 from coorbital.curve import r_diff_pole
 from coorbital.exceptions import CatalogMismatchError, ConsistencyError
@@ -179,6 +181,19 @@ def test_T36_root_off_the_pi_third_crossing_exits_3(monkeypatch, capsys, fresh_c
     assert err == "error: theta2=pi/3 upper crossing disagrees with the T36 root\n"
 
 
+def _gate_exits_3(call, argv, capsys, message):
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        call()
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# the first node of every certificate band on (0, hi), and the last of
+# the half-turn product band on (0, pi/2)
+LOW_NODE = theorems._band(0.0, math.pi / 6.0)[0]
+HALF_TURN_TOP = theorems._band(0.0, 0.5 * math.pi)[-1]
+
+
 @pytest.mark.parametrize(
     "tag, flipped_at, message",
     [
@@ -189,19 +204,80 @@ def test_T36_root_off_the_pi_third_crossing_exits_3(monkeypatch, capsys, fresh_c
         ("T36", lambda s: [s.config.theta4], "T36: sample masses are not positive"),
         # m = f(theta2) / (2*f(theta1))
         ("T37", lambda s: [s.config.theta2], "T37: sample masses are not positive"),
+        # ratio f(theta2)/f(theta1); the root scan reads f(theta1) only squared
+        pytest.param("T32", lambda s: [s.config.theta1], "T32: mass ratio is not positive",
+                     id="T32-pair-sum-ratio"),
+        # f(t)*f(pi - 2*t) at the top node of the (0, pi/2) band
+        pytest.param("T36", lambda s: [HALF_TURN_TOP],
+                     "T36: half-turn product grid found a sign change", id="T36-half-turn"),
+        pytest.param("T37", lambda s: [HALF_TURN_TOP],
+                     "T37: half-turn product grid found a sign change", id="T37-half-turn"),
+        # f(t)*f(4*pi/3 - t) + f(pi/3 + t)^2 at the first node, where f(t) diverges
+        pytest.param("T35", lambda s: [LOW_NODE],
+                     "T35: solvability grid found a non-positive value", id="T35-grid-min"),
+        # max f(t) and min f(t + 5*pi/3) over the (0, pi/6) band
+        pytest.param("T36", lambda s: [LOW_NODE],
+                     "T36: high-zero rejection grid found a sign change", id="T36-max-f-theta1"),
+        pytest.param("T36", lambda s: [LOW_NODE + FIVE_PI_THIRD],
+                     "T36: high-zero rejection grid found a sign change", id="T36-min-f-pair-sum"),
+        # max f(pi/3 - t) + f(t) over the (0, pi/6) band
+        pytest.param("T37", lambda s: [LOW_NODE],
+                     "T37: high-zero rejection grid found a sign change", id="T37-max-sum"),
     ],
 )
 def test_case_sign_gate_exits_3(monkeypatch, capsys, fresh_caches, tag, flipped_at, message):
-    # the kernel the solver sees changes sign only at the angle its mass
-    # ratio reads, so the roots are found as before and the gate fires
+    # the kernel the solver sees changes sign only at the angles its gate
+    # reads, so the roots are found as before and the gate fires
     angles = set(flipped_at(SOLVERS[tag]()))
     _clear_solver_caches()
     real = theorems.f_eval
     monkeypatch.setattr(theorems, "f_eval", lambda t: -real(t) if t in angles else real(t))
-    with pytest.raises(ConsistencyError, match=f"^{message}$"):
-        SOLVERS[tag]()
-    assert cli.main(["theorem", "--tag", tag]) == 3
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    _gate_exits_3(SOLVERS[tag], ["theorem", "--tag", tag], capsys, message)
+
+
+def test_catalog_line_crossing_count_exits_3(monkeypatch, capsys, fresh_caches):
+    # the theta2 = pi/3 line's scan loses its upper crossing
+    real = catalog.scan_brackets
+    monkeypatch.setattr(catalog, "scan_brackets", lambda *args: real(*args)[:-1])
+    message = f"theta2=pi/3 line: expected 2 curve crossings at theta2={math.pi / 3.0}, found 1"
+    _gate_exits_3(build_catalog, ["special-points"], capsys, message)
+
+
+def test_catalog_endpoint_bracket_without_sign_change_exits_3(monkeypatch, capsys, fresh_caches):
+    # C's first line is theta2 = h with the bracket (1.2, 1.8); C keeps
+    # one sign across it once its value at the top end is flipped
+    h = ENDPOINT_OFFSETS[0]
+    real = backend.curve_eval
+    monkeypatch.setattr(
+        backend, "curve_eval",
+        lambda t, theta2: -real(t, theta2) if (t, theta2) == (1.8, h) else real(t, theta2),
+    )
+    message = f"endpoint C: no sign change on (1.2, 1.8) at theta2={h}"
+    _gate_exits_3(build_catalog, ["special-points"], capsys, message)
+
+
+@pytest.mark.parametrize(
+    "tag, message",
+    [
+        ("T32", f"T32: expected 1 sign change(s) on (0.0, {math.pi / 3.0}), found 0"),
+        ("T33", f"T33 mirrored pair: expected 2 sign change(s) on (0.0, {math.pi}), found 1"),
+    ],
+)
+def test_case_root_count_exits_3(monkeypatch, capsys, fresh_caches, tag, message):
+    # the case scan loses its last sign change
+    real = theorems.scan_brackets
+    monkeypatch.setattr(theorems, "scan_brackets", lambda *args: real(*args)[:-1])
+    _gate_exits_3(SOLVERS[tag], ["theorem", "--tag", tag], capsys, message)
+
+
+@pytest.mark.parametrize("tag, gate", [("T32", RESIDUAL_GATE), ("T33", SQUARE_RESIDUAL_GATE)])
+def test_back_substitution_residual_at_its_gate_exits_3(
+    monkeypatch, capsys, fresh_caches, tag, gate
+):
+    # a residual equal to the gate already fails it
+    monkeypatch.setattr(theorems, "residual_four", lambda config, sample: [0.0, -gate, 0.0, 0.0])
+    message = f"{tag}: back-substitution residual {gate} >= {gate}"
+    _gate_exits_3(SOLVERS[tag], ["theorem", "--tag", tag], capsys, message)
 
 
 def test_critical_points_need_a_sign_change_of_the_derivative(monkeypatch, fresh_caches):

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coorbital import cli, kernel
+from coorbital.bounds import TRACE_MAX_STEPS
 from coorbital.cli import main
 from coorbital.exceptions import TraceResidualError
 
@@ -363,6 +364,18 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, config, m
         path.write_text(config)
         argv = argv + [str(path)]
     assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("steps", [TRACE_MAX_STEPS + 1, 10**30])
+def test_trace_steps_over_the_bound_exit_2_before_any_grid(monkeypatch, capsys, steps):
+    # a broken bound fails here at once instead of building and tracing the grid
+    def no_grid(*args, **kwargs):
+        raise AssertionError("trace built a grid")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    monkeypatch.setattr(cli, "trace_curve", no_grid)
+    message = f"error: steps must be at most {TRACE_MAX_STEPS}, got {steps}\n"
+    assert run_cli(capsys, TRACE_ARGV[:-1] + [str(steps)]) == (2, "", message)
 
 
 def test_special_points_output(capsys):

@@ -1,6 +1,7 @@
 """Ring model: residuals, mass matrix, null-space mass recovery."""
 import math
 import random
+import re
 import tracemalloc
 
 import mpmath
@@ -122,6 +123,27 @@ def test_non_real_and_overflowing_values_raise_domain_errors(call, error, messag
     # float() raises TypeError or OverflowError on these; the API promises
     # its own domain errors instead
     with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: AngleConfig((math.pi, math.pi)), AngleDomainError,
+         "ring needs at least 3 gaps"),
+        (lambda: MassVector(()), MassDomainError, "mass vector must be non-empty"),
+        (lambda: SymmetricConfig(1.0, 1.0, 1.0), AngleDomainError,
+         "2*theta1 + theta2 + theta4 must equal 2*pi"),
+        (lambda: residual_four(SymmetricConfig.from_pair(0.7, 0.5), MassVector((1.0,) * 3)),
+         MassDomainError, "symmetric system needs exactly 4 mass factors"),
+        (lambda: coefficient_matrix(MassVector((1.0,) * 5)), MassDomainError,
+         "coefficient matrix needs exactly 4 mass factors"),
+    ],
+    ids=["AngleConfig-two-gaps", "MassVector-empty", "SymmetricConfig-open-ring",
+         "residual_four-three-masses", "coefficient_matrix-five-masses"],
+)
+def test_model_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -1,11 +1,14 @@
 """Bracketed root finder and scan utilities."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coorbital import rootfind
 from coorbital.curve import r_diff_pole
 from coorbital.exceptions import NoSignChangeError
 from coorbital.kernel import critical_points, f_prime
@@ -203,3 +206,15 @@ def test_monotone_cubic_root_stays_bracketed(a, b):
     assert res.converged
     assert -10.0 <= res.root <= 10.0
     assert abs(fn(res.root)) < 1e-8
+
+
+def test_only_rootfind_reads_converged():
+    # every other module reads a refinement's flag through converged_root
+    package = Path(rootfind.__file__).resolve().parent
+    readers = {
+        (path.name, node.lineno)
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "converged"
+    }
+    assert {name for name, _ in readers} == {"rootfind.py"}, sorted(readers)
