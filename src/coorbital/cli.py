@@ -53,6 +53,7 @@ from .exceptions import (
 )
 from .kernel import f_double_prime, f_eval, f_prime
 from .model import AngleConfig, MassVector, residual_general
+from .rootfind import linspace
 from .theorems import SOLVERS
 
 if TYPE_CHECKING:
@@ -118,21 +119,13 @@ def _json_text(manifest: RunManifest, data: object) -> str:
 
 
 def _json_value(value: object) -> str:
-    """One JSON scalar, floats rounded to 12 significant digits; json.dumps
-    writes the rest, NaN and Infinity included. _write_json calls it for
-    every cell of a block that is not all floats and for every cell of a
-    float row that _float_rows declines.
-
-    A float's 12-digit text outside exponent notation is already the
-    shortest repr of the float it reads as, but for a missing ".0", so
-    only exponent forms, inf and nan take the float round trip."""
-    if isinstance(value, float):
-        text = format(value, ".12g")
-        if "e" not in text and "n" not in text:
-            return text if "." in text else text + ".0"
-        value = float(text)
-        if math.isfinite(value):
-            return repr(value)
+    """One JSON scalar: a finite float as the repr of _num12's rounding to
+    12 significant digits; json.dumps writes the rest, NaN and Infinity
+    included. _write_json calls it for every cell of a block that is not
+    all floats and for every cell of a float row that _float_rows
+    declines."""
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(_num12(value))
     return json.dumps(value)
 
 
@@ -396,9 +389,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise ValueError("steps must be at least 1")
     if args.steps > TRACE_MAX_STEPS:
         raise ValueError(f"steps must be at most {TRACE_MAX_STEPS}, got {args.steps}")
-    import numpy as np
-    grid = [float(t) for t in np.linspace(lo, hi, args.steps)]
-    points = trace_curve(args.region, grid, width_tol=ROOT_WIDTH_TOL)
+    points = trace_curve(args.region, linspace(lo, hi, args.steps), width_tol=ROOT_WIDTH_TOL)
     manifest = RunManifest(
         command="trace",
         parameters={
@@ -459,21 +450,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("need matching lists of at least 3 angles and masses")
     if any(t <= 0.0 for t in thetas) or any(m <= 0.0 for m in mus):
         raise ValueError("positivity violated: angles and masses must be strictly positive")
-    total = math.fsum(thetas)
+    try:
+        total = math.fsum(thetas)
+    except OverflowError:  # the exact sum is past the float range
+        total = math.inf
     deviation = abs(total - TWO_PI)
     if deviation > VERIFY_RENORM_LIMIT:
         raise ValueError(
             f"angle sum violated: |sum - 2*pi| = {deviation:.3e} exceeds "
             f"{VERIFY_RENORM_LIMIT:.0e}"
         )
+    scale = TWO_PI / total if deviation > ANGLE_SUM_TOL else 1.0
+    config = AngleConfig(tuple(t * scale for t in thetas))
+    residuals = residual_general(config, MassVector(tuple(mus)))
     if deviation > ANGLE_SUM_TOL:
-        print(
-            f"warning: angle sum off by {deviation:.3e}; renormalizing",
-            file=sys.stderr,
-        )
-        scale = TWO_PI / total
-        thetas = [t * scale for t in thetas]
-    residuals = residual_general(AngleConfig(tuple(thetas)), MassVector(tuple(mus)))
+        # warned once the ring is accepted, so an exit 2 prints one line
+        print(f"warning: angle sum off by {deviation:.3e}; renormalizing", file=sys.stderr)
     worst = max(abs(r) for r in residuals)
     print(f"max |residual| = {worst:.12g}")
     if worst < VERIFY_THRESHOLD:

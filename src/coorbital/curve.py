@@ -30,7 +30,7 @@ from .exceptions import (
 from .kernel import is_real_number, real_float
 from .model import SymmetricConfig, kernel_values
 from .rootfind import Bracket, RootResult, _check_count, bracket_root, brackets_from_values
-from .rootfind import converged_root, opposite_signs
+from .rootfind import converged_root, linspace, opposite_signs
 
 BANDS = {
     "D1": (0.0, PI_THIRD),
@@ -226,11 +226,10 @@ def d4_region_count(n: int = 200) -> int:
     theta2 band; the sign condition never holds there, so zero.
     ValueError unless n is an int >= 1."""
     _check_count(n, 1, "n")
-    import numpy as np
     count = 0
-    for theta2 in np.linspace(FIVE_PI_THIRD + D4_BAND_INSET, TWO_PI - D4_BAND_INSET, n):
-        hi = math.pi - 0.5 * float(theta2) - EDGE_INSET
-        for theta1 in np.linspace(EDGE_INSET, hi, n):
-            if region_classify(float(theta1), float(theta2)) == "D4":
+    for theta2 in linspace(FIVE_PI_THIRD + D4_BAND_INSET, TWO_PI - D4_BAND_INSET, n):
+        hi = math.pi - 0.5 * theta2 - EDGE_INSET
+        for theta1 in linspace(EDGE_INSET, hi, n):
+            if region_classify(theta1, theta2) == "D4":
                 count += 1
     return count

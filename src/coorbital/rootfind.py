@@ -106,6 +106,19 @@ def converged_root(result: RootResult, what: str) -> float:
     return result.root
 
 
+def linspace(a: float, b: float, n: int) -> List[float]:
+    """np.linspace(a, b, n) bit for bit, for n >= 1, as Python floats:
+    k*step + a with the last point b, 0*(b - a) + a alone for n == 1, and
+    numpy's k/(n - 1)*(b - a) + a where the step underflows to zero."""
+    delta = b - a
+    if n == 1:
+        return [0.0 * delta + a]
+    step = delta / (n - 1)
+    if step == 0.0:
+        return [k / (n - 1) * delta + a for k in range(n - 1)] + [b]
+    return [k * step + a for k in range(n - 1)] + [b]
+
+
 def _finite(value: float) -> bool:
     # a boolean is an int, and a finite one, but never a tolerance or a bound
     return not isinstance(value, bool) and math.isfinite(value)

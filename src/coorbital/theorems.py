@@ -26,7 +26,7 @@ from .bounds import BRACKET_INSET, FIVE_PI_THIRD, GRID_INSET, GRID_POINTS, PI_TH
 from .bounds import RESIDUAL_GATE, ROOT_WIDTH_TOL, SQUARE_RESIDUAL_GATE, T35_EXCLUSION, TWO_PI
 from .exceptions import ConsistencyError
 from .model import MassVector, SymmetricConfig, residual_four
-from .rootfind import bracket_root, converged_root, scan_brackets
+from .rootfind import bracket_root, converged_root, linspace, scan_brackets
 
 
 def pair_span_condition(theta: float, span: float) -> float:
@@ -141,11 +141,7 @@ def _pair_sum_case(tag: str, theta0: float, span: float) -> CaseSolution:
 
 
 def _band(lo: float, hi: float) -> List[float]:
-    # np.linspace(a, b, GRID_POINTS) bit for bit, by its own formula, as
-    # Python floats, whose arithmetic is faster than numpy scalars'
-    a, b = lo + GRID_INSET, hi - GRID_INSET
-    step = (b - a) / (GRID_POINTS - 1)
-    return [a + k * step for k in range(GRID_POINTS - 1)] + [b]
+    return linspace(lo + GRID_INSET, hi - GRID_INSET, GRID_POINTS)
 
 
 def _half_turn_product_branch(label: str, tag: str) -> RejectedBranch:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coorbital import cli, kernel
@@ -333,6 +334,84 @@ def test_verify_ignores_unknown_keys(capsys, tmp_path):
     assert run_cli(capsys, ["verify", str(path)])[0] == 0
 
 
+# verify file bytes: JSON-like text with small nesting, repeated keys,
+# integers past the float range and the NaN/Infinity literals; well-formed
+# rings of 3-8 gaps (regular, jittered, a near-collision gap, an angle sum
+# a little, far or past the float range off 2*pi, huge or tiny masses);
+# each also cut short and ended in bytes that are not UTF-8; the empty file
+_LEAVES = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "true", "false",
+                     "null", '"x"', "1" + "0" * 400, "9" * 5000, "1.5707963267948966"]),
+)
+_KEYS = st.sampled_from(['"thetas"', '"mus"', '"extra"'])
+
+
+def _json_object(values):
+    return st.lists(st.tuples(_KEYS, values), max_size=4).map(
+        lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+    )
+
+
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=8).map(lambda xs: "[" + ", ".join(xs) + "]")
+    | _json_object(inner),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _ring_text(draw):
+    n = draw(st.integers(3, 8))
+    weights = draw(st.just([1.0] * n) | st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    weights[0] = draw(st.sampled_from([weights[0], 1e-13, 5e-324]))
+    gaps = [w * 2.0 * PI / math.fsum(weights) for w in weights]
+    drift = draw(st.sampled_from([1.0, 1.0 + 5e-11, 1.0 + 1e-10, 1.0 + 1e-8, 1e308]))
+    mus = draw(st.lists(st.sampled_from([1.0, 2.0, 1e-300, 1e308]) | st.floats(1e-3, 1e3),
+                        min_size=n, max_size=n))
+    return json.dumps({"thetas": [g * drift for g in gaps], "mus": mus})
+
+
+_DOCUMENTS = _VALUES | _json_object(_VALUES) | _ring_text()
+_VERIFY_FILES = st.one_of(
+    st.just(b""),
+    st.binary(max_size=16),
+    _DOCUMENTS.map(str.encode),
+    _ring_text().map(str.encode),
+    st.tuples(_DOCUMENTS, st.integers(0, 400), st.sampled_from([b"\xff", b"\xef\xbb\xbf", b"\xc3"]))
+    .map(lambda t: t[0].encode()[: t[1]] + t[2]),
+)
+_VERDICT = re.compile(r"max \|residual\| = \S+\n(PASS|FAIL) \(threshold 1e-08\)\n")
+
+
+@pytest.fixture(scope="module")
+def verify_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("verify") / "config.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_VERIFY_FILES)
+# a regular ring: PASS
+@example(data=json.dumps({"thetas": [2.0 * PI / 3.0] * 3, "mus": [1.0] * 3}).encode())
+def test_verify_hostile_files_keep_the_exit_code_contract(verify_path, data):
+    verify_path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(verify_path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert code in (0, 1)
+        verdict = _VERDICT.fullmatch(out)
+        assert verdict and verdict.group(1) == ("PASS" if code == 0 else "FAIL"), out
+        assert err == "" or err.startswith("warning: angle sum off by "), err
+
+
 TRACE_ARGV = ["trace", "--region", "D2", "--range", "1.2:2.2", "--steps", "3"]
 
 
@@ -353,10 +432,17 @@ TRACE_ARGV = ["trace", "--region", "D2", "--range", "1.2:2.2", "--steps", "3"]
          "need matching lists of at least 3 angles and masses"),
         (["verify"], '{"thetas": [3.0, 3.2831853071795862], "mus": [1, 1]}',
          "need matching lists of at least 3 angles and masses"),
+        # math.fsum overflows on this sum
+        (["verify"], '{"thetas": [1e308, 1e308, 1e308], "mus": [1, 1, 1]}',
+         "angle sum violated: |sum - 2*pi| = inf exceeds 1e-09"),
+        # renormalized, then rejected: no warning line before the error
+        (["verify"], '{"thetas": [1e-13, 3.141592653589793, 3.1415926540897933], "mus": [1, 1, 1]}',
+         "separation 9.999999999204066e-14 within collision tolerance of 0 or 2*pi"),
     ],
     ids=["range-one-part", "range-three-parts", "trace-zero-steps", "verify-not-an-object",
          "verify-thetas-not-a-list", "verify-mus-missing", "verify-lengths-differ",
-         "verify-two-satellites"],
+         "verify-two-satellites", "verify-gap-sum-past-float-range",
+         "verify-renormalized-then-collision"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, config, message):
     if config is not None:
@@ -372,7 +458,7 @@ def test_trace_steps_over_the_bound_exit_2_before_any_grid(monkeypatch, capsys, 
     def no_grid(*args, **kwargs):
         raise AssertionError("trace built a grid")
 
-    monkeypatch.setattr(np, "linspace", no_grid)
+    monkeypatch.setattr(cli, "linspace", no_grid)
     monkeypatch.setattr(cli, "trace_curve", no_grid)
     message = f"error: steps must be at most {TRACE_MAX_STEPS}, got {steps}\n"
     assert run_cli(capsys, TRACE_ARGV[:-1] + [str(steps)]) == (2, "", message)
@@ -583,16 +669,6 @@ def test_kernel_table_memory_does_not_grow_with_rows(tmp_path, fmt):
     assert peak < 2_000_000
 
 
-def _reference_json_value(value):
-    """cli._json_value before its fast path: every float takes the round
-    trip through float(format(value, ".12g"))."""
-    if isinstance(value, float):
-        value = float(format(value, ".12g"))
-        if math.isfinite(value):
-            return repr(value)
-    return json.dumps(value)
-
-
 def _reference_kernel_rows(steps):
     """The row generator the numpy blocks replaced: one scalar kernel call
     per cell."""
@@ -607,7 +683,7 @@ def _reference_kernel_rows(steps):
 # many blocks
 @pytest.mark.parametrize("steps", [2, 1023, 1024, 1025, 30011])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_kernel_table_bytes_equal_the_scalar_reference(monkeypatch, tmp_path, fmt, steps):
+def test_kernel_table_bytes_equal_the_scalar_reference(tmp_path, fmt, steps):
     out = tmp_path / f"kernel.{fmt}"
     assert main(["kernel", "--steps", str(steps), "--format", fmt, "--out", str(out)]) == 0
     manifest = cli.RunManifest(
@@ -616,39 +692,27 @@ def test_kernel_table_bytes_equal_the_scalar_reference(monkeypatch, tmp_path, fm
         tolerance_set={"grid_delta": cli.KERNEL_GRID_DELTA},
     )
     header = ("theta", "f", "f_prime", "f_double_prime")
-    monkeypatch.setattr(cli, "_json_value", _reference_json_value)
     expected = _streamed_bytes(fmt, manifest, header, _reference_kernel_rows(steps))
     assert out.read_bytes() == expected
 
 
-JSON_EDGE_FLOATS = [
-    0.0, -0.0, 5e-324, -5e-324,
-    1e-4, 9.9999999999995e-05, 1.00000000000049e-4, 1e-5,
-    999999999999.4, 999999999999.5, 1e12, -2e12, 1e16, -6e16, 1.7976931348623157e308,
-    math.nan, math.inf, -math.inf,
+# each float's JSON text: 12 significant digits, read back as the float
+# whose shortest repr is written; json.dumps's words for NaN and Infinity
+JSON_EDGE_TEXTS = [
+    (0.0, "0.0"), (-0.0, "-0.0"), (3.0, "3.0"), (5e-324, "5e-324"), (-5e-324, "-5e-324"),
+    (1e-4, "0.0001"), (9.9999999999995e-05, "0.0001"), (1.00000000000049e-4, "0.0001"),
+    (1e-5, "1e-05"), (999999999999.4, "999999999999.0"),
+    (999999999999.5, "1000000000000.0"), (1e12, "1000000000000.0"),
+    (-2e12, "-2000000000000.0"), (1e16, "1e+16"), (-6e16, "-6e+16"),
+    (1.7976931348623157e308, "1.79769313486e+308"),
+    (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"),
 ]
 
 
-@pytest.mark.parametrize("value", JSON_EDGE_FLOATS)
-def test_json_value_edge_cases_match_the_float_round_trip(value):
-    assert cli._json_value(value) == _reference_json_value(value)
-    assert cli._json_value(np.float64(value)) == _reference_json_value(np.float64(value))
-
-
-@settings(max_examples=3000, deadline=None)
-@given(st.floats() | st.floats(-1e13, 1e13) | st.floats(-1e13, 1e13).map(np.float64))
-def test_json_value_matches_the_float_round_trip(value):
-    assert cli._json_value(value) == _reference_json_value(value)
-
-
-def test_json_value_matches_the_float_round_trip_on_random_mantissas():
-    # full 53-bit mantissas at magnitudes from 1e-6 to 3e13, on both sides
-    # of where 12-digit text switches to exponent notation
-    rng = random.Random(20261018)
-    for _ in range(20000):
-        value = math.ldexp(rng.getrandbits(53) / 2.0**53, rng.randint(-20, 45))
-        for v in (value, -value):
-            assert cli._json_value(v) == _reference_json_value(v), v
+@pytest.mark.parametrize("value, text", JSON_EDGE_TEXTS, ids=[str(v) for v, _ in JSON_EDGE_TEXTS])
+def test_json_value_edge_cases_match_the_float_round_trip(value, text):
+    assert cli._json_value(value) == text
+    assert cli._json_value(np.float64(value)) == text
 
 
 # ---------------------------------------------------------------- float blocks

@@ -1,14 +1,17 @@
 """Bracketed root finder and scan utilities."""
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coorbital import rootfind
+from coorbital.bounds import GRID_INSET, GRID_POINTS
 from coorbital.curve import r_diff_pole
 from coorbital.exceptions import NoSignChangeError
 from coorbital.kernel import critical_points, f_prime
@@ -16,6 +19,7 @@ from coorbital.rootfind import (
     Bracket,
     bracket_root,
     brackets_from_values,
+    linspace,
     scan_brackets,
 )
 from coorbital.theorems import opposite_pair_condition
@@ -208,13 +212,52 @@ def test_monotone_cubic_root_stays_bracketed(a, b):
     assert abs(fn(res.root)) < 1e-8
 
 
-def test_only_rootfind_reads_converged():
-    # every other module reads a refinement's flag through converged_root
+def _package_attributes(attr):
+    """(module file name, line) of every `.attr` in the package's source."""
     package = Path(rootfind.__file__).resolve().parent
-    readers = {
+    return {
         (path.name, node.lineno)
         for path in package.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr == "converged"
+        if isinstance(node, ast.Attribute) and node.attr == attr
     }
+
+
+def test_only_rootfind_reads_converged():
+    # every other module reads a refinement's flag through converged_root
+    readers = _package_attributes("converged")
     assert {name for name, _ in readers} == {"rootfind.py"}, sorted(readers)
+
+
+SPANS = st.floats(-1e6, 1e6) | st.floats(-1e-320, 1e-320)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=SPANS, b=SPANS, n=st.sampled_from([1, 2, 3, 2000]) | st.integers(1, 20000))
+# the three bands the certificate grids sample
+@example(a=GRID_INSET, b=0.5 * math.pi - GRID_INSET, n=GRID_POINTS)
+@example(a=GRID_INSET, b=4.0 * math.pi / 3.0 - GRID_INSET, n=GRID_POINTS)
+@example(a=GRID_INSET, b=math.pi / 6.0 - GRID_INSET, n=GRID_POINTS)
+# numpy's step underflows to zero here
+@example(a=5e-324, b=1e-323, n=1000)
+def test_linspace_is_numpy_linspace_bit_for_bit(a, b, n):
+    got = linspace(a, b, n)
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in np.linspace(a, b, n).tolist()]
+
+
+def test_no_module_calls_numpy_linspace():
+    # every evenly spaced grid comes from rootfind.linspace
+    assert _package_attributes("linspace") == set()
+
+
+D4_PROBE = """
+import sys
+from coorbital.curve import d4_region_count
+print(d4_region_count(5), "numpy" in sys.modules)
+"""
+
+
+def test_d4_region_count_loads_no_numpy():
+    out = subprocess.run([sys.executable, "-c", D4_PROBE], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "0 False\n"), out.stderr
