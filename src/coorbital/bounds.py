@@ -29,6 +29,8 @@ SCAN_CELLS = 4000
 GRID_POINTS = 2000
 # the most theta2 lines one trace may ask for (cli); refused before any grid is built
 TRACE_MAX_STEPS = 1000000
+# the most rows one kernel table may ask for (cli); refused before any row is computed
+KERNEL_MAX_STEPS = 10000000
 
 # root finding
 WIDTH_TOL = 1e-12
@@ -46,8 +48,6 @@ DENOM_TOL = 1e-12
 # case gates
 RESIDUAL_GATE = 1e-9
 SQUARE_RESIDUAL_GATE = 1e-12
-# T35's solvability grid drops the nodes this close to pi/3 and pi
-T35_EXCLUSION = 1e-6
 
 # catalog
 CATALOG_TOL = 1e-3

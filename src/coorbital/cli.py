@@ -40,8 +40,9 @@ from typing import (
 )
 
 from . import __version__
-from .bounds import ANGLE_SUM_TOL, CATALOG_TOL, KERNEL_GRID_DELTA, RESIDUAL_GATE, ROOT_WIDTH_TOL
-from .bounds import TRACE_MAX_STEPS, TRACE_RESID_GATE, TWO_PI, VERIFY_RENORM_LIMIT, VERIFY_THRESHOLD
+from .bounds import ANGLE_SUM_TOL, CATALOG_TOL, KERNEL_GRID_DELTA, KERNEL_MAX_STEPS, RESIDUAL_GATE
+from .bounds import ROOT_WIDTH_TOL, TRACE_MAX_STEPS, TRACE_RESID_GATE, TWO_PI, VERIFY_RENORM_LIMIT
+from .bounds import VERIFY_THRESHOLD
 from .catalog import build_catalog
 from .curve import trace_curve
 from .exceptions import (
@@ -122,8 +123,7 @@ def _json_value(value: object) -> str:
     """One JSON scalar: a finite float as the repr of _num12's rounding to
     12 significant digits; json.dumps writes the rest, NaN and Infinity
     included. _write_json calls it for every cell of a block that is not
-    all floats and for every cell of a float row that _float_rows
-    declines."""
+    all floats and for every float cell that _float_rows declines."""
     if isinstance(value, float) and math.isfinite(value):
         return repr(_num12(value))
     return json.dumps(value)
@@ -142,8 +142,8 @@ def _target(out: Optional[str]) -> Iterator[TextIO]:
 class _RowLayout(NamedTuple):
     """How a writer lays out one record: output column j shows the
     record's column order[j] and is followed by separators[j], the last
-    one ending the record; cell formats each cell of the records that
-    _float_rows declines."""
+    one ending the record; cell formats each cell of _cell_row and each
+    float cell that _float_rows declines."""
 
     order: Tuple[int, ...]
     separators: Tuple[str, ...]
@@ -163,23 +163,14 @@ def _float_rows(block: "np.ndarray", layout: _RowLayout) -> str:
     exactly layout.cell's text: format(x, ".12g") or _json_value(x).
 
     floattext.fill_cells writes the records into one byte matrix, NUL
-    where a cell's text is shorter than its slot, and deleting the NULs
-    gives the text. The records it declines are left out of the matrix
-    and written by _cell_row in their place.
-    floattext is imported here, so that a launch without a float block
-    neither compiles it nor imports numpy."""
+    where a cell's text is shorter than its slot and layout.cell's text
+    in the slot of each cell it declines; deleting the NULs gives the
+    text. floattext is imported here, so that a launch without a float
+    block neither compiles it nor imports numpy."""
     from .floattext import fill_cells
 
-    matrix, declined, ends = fill_cells(block, layout.separators, layout.order, layout.needs_point)
-    text = matrix.translate(None, b"\0")
-    if not declined:
-        return text.decode()
-    texts, start = [], 0
-    for r in declined:
-        texts += (text[start : ends[r]].decode(), _cell_row(block[r].tolist(), layout))
-        start = ends[r]
-    texts.append(text[start:].decode())
-    return "".join(texts)
+    matrix = fill_cells(block, layout.separators, layout.order, layout.needs_point, layout.cell)
+    return matrix.translate(None, b"\0").decode()
 
 
 def _blocks(rows: Iterable[object]) -> Iterator["Union[List[Sequence[object]], np.ndarray]"]:
@@ -280,6 +271,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     n = args.steps
     if n < 2:
         raise ValueError("kernel grid needs at least 2 steps")
+    if n > KERNEL_MAX_STEPS:
+        raise ValueError(f"kernel grid takes at most {KERNEL_MAX_STEPS} steps, got {n}")
     manifest = RunManifest(
         command="kernel",
         parameters={"steps": n},
@@ -430,10 +423,19 @@ def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
     return dict(pairs)
 
 
+def _json_int(text: str) -> int:
+    """int(text), or ValueError where the text passes Python's limit on
+    the digits of an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("input holds a number too long to read") from None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.config_file, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh, object_pairs_hook=_unique_keys)
+            payload = json.load(fh, object_pairs_hook=_unique_keys, parse_int=_json_int)
         except RecursionError:
             raise ValueError("input nests too deeply to parse") from None
     if not isinstance(payload, dict):

@@ -15,7 +15,7 @@ it writes, so that launches without one neither compile it nor import
 numpy. The tables are built at import.
 """
 
-from typing import List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -73,13 +73,17 @@ _WORDS, _SIGNIFICANT = _group_tables()
 
 
 def fill_cells(
-    block: "np.ndarray", separators: Sequence[str], order: Sequence[int], needs_point: bool
-) -> Tuple[bytearray, List[int], List[int]]:
+    block: "np.ndarray",
+    separators: Sequence[str],
+    order: Sequence[int],
+    needs_point: bool,
+    cell: Callable[[float], str],
+) -> bytearray:
     """The byte matrix of the records of a float64 block of shape (rows,
     columns), output column j holding block column order[j]: each cell
     as WIDTH bytes with those outside its text set to NUL, then its own
-    separator. Also returns the declined rows, left all NUL, and when
-    there are any, the count of text bytes up to the end of each row.
+    separator. A declined cell's slot holds cell(x), which for any float
+    is at most WIDTH bytes and holds no NUL.
 
     A cell is declined when it is zero or not finite, when e lies outside
     [-4, 12), when the scaled product lies within 2**-12 of a .5 tie, when
@@ -119,17 +123,16 @@ def fill_cells(
         ok &= n > e + 1
     cells = _KEEP.take((np.signbit(block) * 16 + e + 4) * 12 + n - 1, axis=0)
     np.bitwise_and(cells, _WORDS.take(g), out=cells)
+    texts = cells.view(np.uint8)
+    for r, c in np.argwhere(~ok).tolist():
+        text = cell(block[r, c].item()).encode()
+        texts[r, c] = np.frombuffer(text.ljust(WIDTH, b"\0"), np.uint8)
     encoded = [sep.encode() for sep in separators]
     record = b"".join(b"\0" * WIDTH + sep for sep in encoded)
     matrix = bytearray(record * m)
     rows = np.frombuffer(matrix, np.uint8).reshape(m, len(record))
-    texts = cells.view(np.uint8)
     start = 0
     for column, sep in zip(order, encoded):
         rows[:, start : start + WIDTH] = texts[:, column]
         start += WIDTH + len(sep)
-    declined = sorted(set((np.flatnonzero(~ok) // k).tolist()))
-    if not declined:
-        return matrix, declined, []
-    rows[declined] = 0
-    return matrix, declined, np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    return matrix

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .backend import f_eval
 from .bounds import BRACKET_INSET, FIVE_PI_THIRD, GRID_INSET, GRID_POINTS, PI_THIRD
-from .bounds import RESIDUAL_GATE, ROOT_WIDTH_TOL, SQUARE_RESIDUAL_GATE, T35_EXCLUSION, TWO_PI
+from .bounds import RESIDUAL_GATE, ROOT_WIDTH_TOL, SQUARE_RESIDUAL_GATE, TWO_PI
 from .exceptions import ConsistencyError
 from .model import MassVector, SymmetricConfig, residual_four
 from .rootfind import bracket_root, converged_root, linspace, scan_brackets
@@ -226,14 +226,7 @@ def check_T35() -> CaseSolution:
     side is strictly positive across the whole theta2 band.
     """
     hi = 4.0 * math.pi / 3.0
-    kept = [
-        t
-        for t in _band(0.0, hi)
-        if abs(t - PI_THIRD) >= T35_EXCLUSION and abs(t - math.pi) >= T35_EXCLUSION
-    ]
-    values = [
-        f_eval(t) * f_eval(hi - t) + f_eval(PI_THIRD + t) ** 2 for t in kept
-    ]
+    values = [f_eval(t) * f_eval(hi - t) + f_eval(PI_THIRD + t) ** 2 for t in _band(0.0, hi)]
     grid_min = min(values)
     if grid_min <= 0.0:
         raise ConsistencyError("T35: solvability grid found a non-positive value")

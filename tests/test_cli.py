@@ -21,8 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coorbital import cli, kernel
-from coorbital.bounds import TRACE_MAX_STEPS
+from coorbital import cli, floattext, kernel
+from coorbital.bounds import KERNEL_MAX_STEPS, TRACE_MAX_STEPS
 from coorbital.cli import main
 from coorbital.exceptions import TraceResidualError
 
@@ -412,6 +412,126 @@ def test_verify_hostile_files_keep_the_exit_code_contract(verify_path, data):
         assert err == "" or err.startswith("warning: angle sum off by "), err
 
 
+# (flag, good values, bad values) of each subcommand's options, where a
+# None value leaves the option out. Step counts are small or past their
+# bound, so that no example runs long; TMP stands for a folder that
+# holds ring.json (PASS), fail.json (FAIL) and empty.json
+_SMALL_STEPS = st.integers(2, 5).map(str)
+
+
+def _bad_steps(bound):
+    counts = st.integers(-2, 1) | st.integers(bound + 1, 10**30)
+    return counts.map(str) | st.sampled_from(["", "x", "2.5", "1e3"])
+
+
+_FORMAT = ("--format", st.sampled_from(["csv", "json"]), st.just("xml"))
+_OUT = (
+    "--out",
+    st.sampled_from([None, "TMP/out.txt"]),
+    st.sampled_from(["TMP", "TMP/missing/out.txt", ""]),
+)
+_OPTIONS = {
+    "kernel": [("--steps", _SMALL_STEPS, _bad_steps(KERNEL_MAX_STEPS)), _FORMAT, _OUT],
+    "theorem": [
+        ("--tag", st.sampled_from(["T32", "T33", "T34", "T35", "T36", "T37"]), st.just("T38")),
+        _FORMAT,
+        _OUT,
+    ],
+    "trace": [
+        ("--region", st.sampled_from(["D1", "D2", "D3"]), st.just("D4")),
+        (
+            "--range",
+            # in the D1, D2 and D3 bands
+            st.sampled_from(["0.1:0.9", "1.2:2.2", "3.3:4.9"]),
+            st.tuples(st.floats(), st.floats()).map(lambda ab: f"{ab[0]!r}:{ab[1]!r}")
+            | st.sampled_from(["", ":", "1:2:3", "a:b", "0.0001:1.2", "1e-200:0.3"]),
+        ),
+        ("--steps", _SMALL_STEPS, _bad_steps(TRACE_MAX_STEPS)),
+        _FORMAT,
+        _OUT,
+    ],
+    "verify": [
+        (
+            "",
+            st.sampled_from(["TMP/ring.json", "TMP/fail.json"]),
+            st.sampled_from(["TMP/empty.json", "TMP/missing.json", "TMP"]),
+        ),
+    ],
+    "special-points": [_FORMAT, _OUT],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand's argv with its options in any order, up to two of
+    them given a bad value or left out, and maybe a stray token."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    faults = draw(st.lists(st.integers(0, len(options) - 1), max_size=2))
+    pairs = []
+    for i, (flag, good, bad) in enumerate(options):
+        value = draw((bad | st.none()) if i in faults else good)
+        if value is not None:
+            pairs.append([flag, value] if flag else [value])
+    stray = draw(st.sampled_from([[]] * 6 + [["--bogus"], ["extra"], ["--steps"]]))
+    return [command] + [token for pair in draw(st.permutations(pairs)) for token in pair] + stray
+
+
+@pytest.fixture(scope="module")
+def argv_folder(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    ring = {"thetas": [PI / 2.0] * 4, "mus": [1.0] * 4}
+    (folder / "ring.json").write_text(json.dumps(ring))
+    (folder / "fail.json").write_text('{"thetas": [1.0, 2.0, 3.2831853071795862], "mus": [1, 1, 1]}')
+    (folder / "empty.json").write_text("")
+    return folder
+
+
+def _capped(fn, bound, index):
+    """fn, failing at once where its argument at index passes bound, so
+    that a lifted step bound fails the test instead of running for ever."""
+
+    def capped(*args):
+        assert args[index] <= bound, f"{fn.__name__} asked for {args[index]} points"
+        return fn(*args)
+
+    return capped
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argvs())
+@example(argv=["kernel", "--steps", "99999999999999999999"])
+@example(argv=["trace", "--region", "D1", "--range", "1e-200:0.3", "--steps", "3"])
+@example(argv=["verify", "TMP/fail.json"])
+@example(argv=[])
+@example(argv=["kernal", "--steps", "3"])
+def test_argv_keeps_the_exit_code_contract(argv_folder, argv):
+    argv = [token.replace("TMP", str(argv_folder)) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_kernel_rows", _capped(cli._kernel_rows, KERNEL_MAX_STEPS, 0)), \
+            mock.patch.object(cli, "linspace", _capped(cli.linspace, TRACE_MAX_STEPS, 2)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's rejection
+            code, rejected = exc.code, True
+        else:
+            rejected = False
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    assert code in (0, 1, 2, 3, 4, 5), (argv, code)
+    if rejected:
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage: coorbital") and ": error: " in err.splitlines()[-1], err
+    elif code == 1 and argv[0] == "verify":
+        assert out.endswith("FAIL (threshold 1e-08)\n"), out
+    elif code:
+        assert out == "", argv
+        lines = err.splitlines()
+        assert lines[-1].startswith("error: ") and err.endswith("\n"), err
+        assert sum(line.startswith("error:") for line in lines) == 1, err
+
+
 TRACE_ARGV = ["trace", "--region", "D2", "--range", "1.2:2.2", "--steps", "3"]
 
 
@@ -438,11 +558,14 @@ TRACE_ARGV = ["trace", "--region", "D2", "--range", "1.2:2.2", "--steps", "3"]
         # renormalized, then rejected: no warning line before the error
         (["verify"], '{"thetas": [1e-13, 3.141592653589793, 3.1415926540897933], "mus": [1, 1, 1]}',
          "separation 9.999999999204066e-14 within collision tolerance of 0 or 2*pi"),
+        # past Python's limit on the digits of an integer
+        (["verify"], '{"thetas": [' + "1" * 5000 + ', 2, 3], "mus": [1, 1, 1]}',
+         "input holds a number too long to read"),
     ],
     ids=["range-one-part", "range-three-parts", "trace-zero-steps", "verify-not-an-object",
          "verify-thetas-not-a-list", "verify-mus-missing", "verify-lengths-differ",
          "verify-two-satellites", "verify-gap-sum-past-float-range",
-         "verify-renormalized-then-collision"],
+         "verify-renormalized-then-collision", "verify-number-too-long"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, config, message):
     if config is not None:
@@ -462,6 +585,21 @@ def test_trace_steps_over_the_bound_exit_2_before_any_grid(monkeypatch, capsys, 
     monkeypatch.setattr(cli, "trace_curve", no_grid)
     message = f"error: steps must be at most {TRACE_MAX_STEPS}, got {steps}\n"
     assert run_cli(capsys, TRACE_ARGV[:-1] + [str(steps)]) == (2, "", message)
+
+
+@pytest.mark.parametrize("steps", [KERNEL_MAX_STEPS + 1, 10**30])
+def test_kernel_steps_over_the_bound_exit_2_before_any_row(monkeypatch, capsys, tmp_path, steps):
+    # a broken bound fails here at once instead of computing the table
+    def no_rows(*args, **kwargs):
+        raise AssertionError("kernel computed a row")
+
+    monkeypatch.setattr(cli, "_kernel_rows", no_rows)
+    message = f"error: kernel grid takes at most {KERNEL_MAX_STEPS} steps, got {steps}\n"
+    argv = ["kernel", "--steps", str(steps)]
+    assert run_cli(capsys, argv) == (2, "", message)
+    out = tmp_path / "kernel.json"
+    assert run_cli(capsys, argv + ["--format", "json", "--out", str(out)]) == (2, "", message)
+    assert not out.exists()
 
 
 def test_special_points_output(capsys):
@@ -750,6 +888,19 @@ def test_float_path_writes_what_the_cell_path_writes(values):
     _check_float_path(values)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats())
+@example(-1.2345678901234567e-308)
+@example(-1.7976931348623157e308)
+@example(-5e-324)
+def test_cell_text_of_any_float_fits_its_slot(value):
+    # fill_cells writes a declined cell's text into its WIDTH-byte slot
+    # and deletes the NULs around it
+    for text in (cli._fmt(value), cli._json_value(value)):
+        encoded = text.encode()
+        assert len(encoded) <= floattext.WIDTH and b"\0" not in encoded, text
+
+
 def _with_neighbours(values, ulps=1):
     """The values and the floats up to ulps steps away, with both signs."""
     out = []
@@ -849,24 +1000,31 @@ def test_float_path_writes_multi_column_blocks_row_for_row(case):
             assert text == ""
 
 
-def _count_cell_rows(monkeypatch):
-    """A list that gains an entry per record written by cli._cell_row."""
-    calls = []
-    cell_row = cli._cell_row
+def _count_declined_cells(monkeypatch):
+    """A list that gains the value of each cell that floattext.fill_cells
+    declines and hands to cli._fmt or cli._json_value; the manifest's
+    calls of _fmt are not counted."""
+    declined = []
 
-    def counted(cells, layout):
-        calls.append(layout)
-        return cell_row(cells, layout)
+    def counting(format_cell):
+        def counted(value):
+            if sys._getframe(1).f_globals["__name__"] == floattext.__name__:
+                declined.append(value)
+            return format_cell(value)
 
-    monkeypatch.setattr(cli, "_cell_row", counted)
-    return calls
+        return counted
+
+    for name in ("_fmt", "_json_value"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    return declined
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_kernel_table_rows_mostly_take_the_float_path(monkeypatch, tmp_path, fmt):
-    # the fallback writes a declined row correctly but slowly, so a fast
-    # path that declines everything would pass every byte test
-    declined = _count_cell_rows(monkeypatch)
+    # the cell-by-cell formatter writes a declined cell correctly but
+    # slowly, so a fast path that declines everything would pass every
+    # byte test
+    declined = _count_declined_cells(monkeypatch)
     out = tmp_path / f"kernel.{fmt}"
     assert main(["kernel", "--steps", "100000", "--format", fmt, "--out", str(out)]) == 0
     assert 0 < len(declined) < 1000
@@ -887,7 +1045,7 @@ def test_kernel_table_of_the_benchmark_is_pinned(tmp_path, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == KERNEL_TABLE_SHA256[fmt]
 
 
-# values that every format declines, so their rows take the per-cell path
+# values that every format declines, so their cells take the per-cell formatter
 DECLINED_VALUES = [999999999999.5, 0.0, 1e20, -0.0, -2.5e-7, math.nan, -math.inf]
 SPLICE_ROWS = {
     "first": [0],
@@ -901,8 +1059,8 @@ SPLICE_ROWS = {
 @pytest.mark.parametrize("where", sorted(SPLICE_ROWS))
 @pytest.mark.parametrize("block", [0, 1], ids=["first-block", "later-block"])
 def test_declined_rows_are_spliced_in_order(monkeypatch, fmt, where, block):
-    # two array blocks of six rows; the declined rows of one of them are
-    # written by the per-cell path between the float path's runs
+    # two array blocks of six rows; one of them holds a declined cell in
+    # each placed row, written by the per-cell formatter into its own slot
     header = ("theta", "f", "f_prime")
     arrays = [
         np.array([[0.125 * r + 0.3 + b, -1.5 / (r + 1), 7e-3 * r - 2.25] for r in range(6)])
@@ -912,9 +1070,9 @@ def test_declined_rows_are_spliced_in_order(monkeypatch, fmt, where, block):
         arrays[block][r, i % 3] = DECLINED_VALUES[i % len(DECLINED_VALUES)]
     rows = [tuple(row) for array in arrays for row in array.tolist()]
     expected = _reference_text(fmt, MANIFEST, header, rows).encode("utf-8")
-    spliced = _count_cell_rows(monkeypatch)
+    declined = _count_declined_cells(monkeypatch)
     assert _streamed_bytes(fmt, MANIFEST, header, arrays) == expected
-    assert len(spliced) == len(SPLICE_ROWS[where])
+    assert len(declined) == len(SPLICE_ROWS[where])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
