@@ -62,9 +62,15 @@ def f_double_prime(theta, xp=math):
 def curve_eval(theta1, theta2: float, xp=math):
     """C at (theta1, theta2); theta1 may be an ndarray when xp is numpy.
     f(theta2) is one float on both paths."""
-    f1 = f_eval(theta1, xp)
-    f12 = f_eval(theta1 + theta2, xp)
-    return f1 * f1 - f12 * f12 - f_eval(theta2) * f_eval(TWO_PI - 2.0 * theta1 - theta2, xp)
+    return curve_from(f_eval, theta1, theta2, xp)
+
+
+def curve_from(kernel, theta1, theta2: float, xp=math):
+    """C written once over a kernel called like f_eval: f_eval itself, or
+    the catalog's enclosure of f with theta1 an interval of angles."""
+    f1 = kernel(theta1, xp)
+    f12 = kernel(theta1 + theta2, xp)
+    return f1 * f1 - f12 * f12 - kernel(theta2) * kernel(TWO_PI - 2.0 * theta1 - theta2, xp)
 
 
 def curve_scan(theta2: float, lo: float, hi: float, n_cells: int) -> "np.ndarray":

@@ -25,6 +25,8 @@ D4_BAND_INSET = 1e-3
 
 # grid counts
 SCAN_STEPS = 2000
+# the lazy scans and grids sample a box of at most this many nodes in full (rootfind)
+SCAN_LEAF_NODES = 16
 SCAN_CELLS = 4000
 GRID_POINTS = 2000
 # the most theta2 lines one trace may ask for (cli); refused before any grid is built
@@ -38,6 +40,11 @@ WIDTH_TOL = 1e-12
 ROOT_WIDTH_TOL = 1e-14
 RESID_TOL = 1e-10
 MAX_ITER = 200
+# rounding bounds of the interval enclosures (interval): math.sin and math.cos
+# are trusted to this many ulps, and a kernel enclosure is widened by
+# KERNEL_ROUND_K * eps * (max|f| + 1), which covers two float evaluations of f
+LIBM_ULPS = 1
+KERNEL_ROUND_K = 16.0
 
 # trace and classification gates
 TRACE_RESID_GATE = 1e-10

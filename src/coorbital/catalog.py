@@ -16,8 +16,9 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import backend
 from .bounds import CATALOG_TOL, CORNER_MARGIN, CROSS_CHECK_TOL, EDGE_INSET, ENDPOINT_OFFSETS
-from .bounds import FIVE_PI_THIRD, PI_THIRD, ROOT_WIDTH_TOL, STRIP_TOP_INSET, TWO_PI
+from .bounds import FIVE_PI_THIRD, PI_THIRD, ROOT_WIDTH_TOL, SCAN_STEPS, STRIP_TOP_INSET, TWO_PI
 from .exceptions import CatalogMismatchError, ConsistencyError
+from .kernel import critical_points
 from .rootfind import Bracket, bracket_root, converged_root, opposite_signs, scan_brackets
 from .theorems import solve_T32, solve_T33, solve_T34, solve_T36, solve_T37
 
@@ -84,9 +85,16 @@ class SpecialPointCatalog(NamedTuple):
 
 
 def _scan_line(theta2: float, hi: float, count: int, what: str) -> list:
-    """Curve crossings on one theta2 line, gated to an expected count."""
+    """Curve crossings on one theta2 line, gated to an expected count.
+    The scan skips the boxes of theta1 nodes that C's enclosure (C over
+    interval.kernel of backend.f_eval) settles."""
+    from . import interval
+
+    profile = critical_points()
+    f = interval.kernel(backend.f_eval, profile.theta_c, profile.theta_l)
+    enclose = lambda a, b: backend.curve_from(f, interval.Interval(a, b), theta2)
     fn = lambda t: backend.curve_eval(t, theta2)
-    brackets = scan_brackets(fn, EDGE_INSET, hi)
+    brackets = scan_brackets(fn, EDGE_INSET, hi, SCAN_STEPS, enclose)
     if len(brackets) != count:
         raise ConsistencyError(
             f"{what}: expected {count} curve crossings at theta2={theta2}, "

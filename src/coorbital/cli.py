@@ -10,7 +10,8 @@ with "manifest" and "data" keys. Numeric fields use 12 significant
 digits (case angles use 12 decimal places).
 
 Exit codes: 0 success/PASS, 1 verify FAIL, 2 bad input or IO, 3 solver
-consistency failure, 4 trace residual failure, 5 catalog mismatch.
+consistency failure, 4 trace residual failure, 5 catalog mismatch, 6
+internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ EXIT_CODES = (
     (TraceResidualError, 4),
     (CatalogMismatchError, 5),
 )
+# any other exception is a bug; it must not read as a verify FAIL (1)
+INTERNAL_ERROR = 6
 
 
 class RunManifest(NamedTuple):
@@ -554,6 +557,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CoorbitalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for cls, code in EXIT_CODES if isinstance(exc, cls)), 2)
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        what = f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
+        print(f"error: internal error: {what}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

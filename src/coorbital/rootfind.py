@@ -11,9 +11,9 @@ layers near the collision angles.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
-from .bounds import MAX_ITER, RESID_TOL, SCAN_STEPS, WIDTH_TOL
+from .bounds import MAX_ITER, RESID_TOL, SCAN_LEAF_NODES, SCAN_STEPS, WIDTH_TOL
 from .exceptions import ConsistencyError, NoSignChangeError
 
 
@@ -25,6 +25,11 @@ class Bracket(NamedTuple):
     hi: float
     f_lo: float
     f_hi: float
+
+
+# maps a box of nodes (its lowest and highest node) to an object with lo <= hi
+# holding fn's float value at every node in it: an ``interval.Interval``
+Enclosure = Callable[[float, float], object]
 
 
 class RootResult(NamedTuple):
@@ -110,13 +115,20 @@ def linspace(a: float, b: float, n: int) -> List[float]:
     """np.linspace(a, b, n) bit for bit, for n >= 1, as Python floats:
     k*step + a with the last point b, 0*(b - a) + a alone for n == 1, and
     numpy's k/(n - 1)*(b - a) + a where the step underflows to zero."""
+    node = _linspace_node(a, b, n)
+    return [node(k) for k in range(n)]
+
+
+def _linspace_node(a: float, b: float, n: int) -> Callable[[int], float]:
+    """The node k of linspace(a, b, n), for 0 <= k < n."""
     delta = b - a
+    last = n - 1
     if n == 1:
-        return [0.0 * delta + a]
-    step = delta / (n - 1)
+        return lambda k: 0.0 * delta + a
+    step = delta / last
     if step == 0.0:
-        return [k / (n - 1) * delta + a for k in range(n - 1)] + [b]
-    return [k * step + a for k in range(n - 1)] + [b]
+        return lambda k: b if k == last else k / last * delta + a
+    return lambda k: b if k == last else k * step + a
 
 
 def _finite(value: float) -> bool:
@@ -145,6 +157,9 @@ def brackets_from_values(
     ``values[k]`` is the sample at ``lo + k*step`` with
     ``step = (hi-lo)/n_cells``; node recomputation uses exactly that
     expression so brackets match the sampling grid bit for bit.
+    ``values`` is a list or an ndarray of every node, or (from the lazy
+    ``scan_brackets``) a dict of sampled nodes by index, from 0 to
+    n_cells, that holds every node the rules below read.
 
     A node with |value| < resid_tol counts as a root itself: both cells
     touching it are suppressed, and a single spanning bracket over its
@@ -154,20 +169,28 @@ def brackets_from_values(
     """
     _check_interval(lo, hi)
     # Only cells that start at a node root or hold a strict sign change
-    # can yield a bracket; a list selects them in Python, anything else
-    # (an ndarray) with numpy. The rules below run on those few cells.
-    if isinstance(values, list):
+    # can yield a bracket; a list or dict selects them in Python, anything
+    # else (an ndarray) with numpy. The rules below run on those few cells.
+    if isinstance(values, dict):
+        v = values
+        node_root = {k: abs(x) < resid_tol for k, x in v.items()}
+        candidates = [
+            k for k in sorted(v) if k + 1 in v and (node_root[k] or opposite_signs(v[k], v[k + 1]))
+        ]
+        n_cells = max(v)
+    elif isinstance(values, list):
         v = values
         node_root = [abs(x) < resid_tol for x in v]
         candidates = [
             i for i in range(len(v) - 1) if node_root[i] or opposite_signs(v[i], v[i + 1])
         ]
+        n_cells = len(v) - 1
     else:
         import numpy as np
         v = np.asarray(values, dtype=np.float64)
         node_root = np.abs(v) < resid_tol
         candidates = np.flatnonzero(node_root[:-1] | opposite_signs(v[:-1], v[1:])).tolist()
-    n_cells = len(v) - 1
+        n_cells = len(v) - 1
     if n_cells < 1:
         return []
     step = (hi - lo) / n_cells
@@ -191,13 +214,115 @@ def scan_brackets(
     lo: float,
     hi: float,
     n_steps: int = SCAN_STEPS,
+    enclose: Optional[Enclosure] = None,
 ) -> List[Bracket]:
     """Sample ``fn`` on a uniform grid of n_steps cells and return every
     sign-change bracket. Empty list when there is no sign change;
     ValueError unless lo and hi are finite and lo < hi and n_steps is an
-    int >= 2."""
+    int >= 2.
+
+    With ``enclose``, ``fn`` is sampled only where the enclosure cannot
+    settle a box of nodes, and the brackets are the full scan's, bit for
+    bit (see ``_lazy_values``)."""
     _check_interval(lo, hi)
     _check_count(n_steps, 2, "n_steps")
     step = (hi - lo) / n_steps
-    values = [fn(lo + k * step) for k in range(n_steps + 1)]
-    return brackets_from_values(lo, hi, values)
+    if enclose is None:
+        values = [fn(lo + k * step) for k in range(n_steps + 1)]
+        return brackets_from_values(lo, hi, values)
+    return brackets_from_values(lo, hi, _lazy_values(fn, lambda k: lo + k * step, n_steps, enclose))
+
+
+def _lazy_values(fn, node, n_cells: int, enclose: Enclosure) -> Dict[int, float]:
+    """fn at the nodes node(0..n_cells) that decide the scan's brackets,
+    by index.
+
+    A box of nodes k0..k1 is the interval [node(k0), node(k1)], which
+    holds every node in it because the node sequence never decreases. A
+    box whose enclosure excludes (-RESID_TOL, RESID_TOL) holds no node
+    root and no sign change; only its two end nodes are sampled, and it
+    is split after all if either disagrees with the enclosure. Other
+    boxes are halved down to SCAN_LEAF_NODES nodes and then sampled in
+    full. So every node root and every node beside one is sampled, and
+    every cell with a sign change has both ends sampled."""
+    v: Dict[int, float] = {}
+    boxes = [(0, n_cells)]
+    while boxes:
+        k0, k1 = boxes.pop()
+        if k1 - k0 >= SCAN_LEAF_NODES:
+            box = enclose(node(k0), node(k1))
+            # +1 or -1 for a box settled above or below (-RESID_TOL, RESID_TOL)
+            side = 0.0
+            if RESID_TOL <= box.lo <= box.hi:
+                side = 1.0
+            elif box.lo <= box.hi <= -RESID_TOL:
+                side = -1.0
+            if side:
+                for k in (k0, k1):
+                    if k not in v:
+                        v[k] = fn(node(k))
+                if side * v[k0] >= RESID_TOL and side * v[k1] >= RESID_TOL:
+                    continue
+            mid = (k0 + k1) // 2
+            boxes += [(mid, k1), (k0, mid)]
+            continue
+        for k in range(k0, k1 + 1):
+            if k not in v:
+                v[k] = fn(node(k))
+    return v
+
+
+def grid_extremum(
+    fn: Callable[[float], float],
+    a: float,
+    b: float,
+    n: int,
+    enclose: Enclosure,
+    pick: Callable,
+) -> float:
+    """pick(fn(t) for t in linspace(a, b, n)), for pick max or min, with
+    ``fn`` sampled only in boxes of nodes that could beat the best node
+    so far.
+
+    Best first: the open box whose enclosure bound is best is halved, or
+    sampled in full once it holds at most SCAN_LEAF_NODES nodes, until no
+    open box's bound beats the best node; a box with a NaN bound is never
+    pruned. A NaN value, or a best value of zero (whose sign the builtin
+    takes from the first zero in grid order), falls back to the full
+    grid, so the float returned is always the builtin's."""
+    found = _best_node(fn, _linspace_node(a, b, n), n, enclose, 1.0 if pick is max else -1.0)
+    if not found:
+        return pick(fn(t) for t in linspace(a, b, n))
+    return found
+
+
+def _best_node(fn, node, n: int, enclose: Enclosure, sign: float) -> Optional[float]:
+    """The node value x of node(0..n-1) with the largest sign*x, or None
+    once a NaN value turns up."""
+
+    def box(k0: int, k1: int) -> tuple:
+        # a box whose bounds hold a NaN can never be pruned
+        bounds = enclose(node(k0), node(k1))
+        if not bounds.lo <= bounds.hi:
+            return math.inf, k0, k1
+        return (bounds.hi if sign > 0.0 else -bounds.lo), k0, k1
+
+    best, found = -math.inf, None
+    boxes = [box(0, n - 1)]
+    while boxes:
+        top = max(boxes)
+        score, k0, k1 = top
+        if score <= best:
+            break
+        boxes.remove(top)
+        if k1 - k0 >= SCAN_LEAF_NODES:
+            mid = (k0 + k1) // 2
+            boxes += [box(k0, mid), box(mid + 1, k1)]
+            continue
+        for k in range(k0, k1 + 1):
+            x = fn(node(k))
+            if x != x:
+                return None
+            if sign * x > best:
+                best, found = sign * x, x
+    return found

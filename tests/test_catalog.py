@@ -64,6 +64,11 @@ def test_square_point_exact():
     assert k.delta == 0.0
 
 
+def test_unknown_label_raises_key_error():
+    with pytest.raises(KeyError, match="^'F'$"):
+        build_catalog().by_label("F")
+
+
 def test_interior_roots_frozen():
     cat = build_catalog()
     assert abs(cat.by_label("E").theta1 - FROZEN_E) < 1e-9

@@ -1146,6 +1146,36 @@ def test_main_runs_the_handler_bound_at_call_time(capsys, monkeypatch):
     assert calls == ["T35"]
 
 
+@pytest.mark.parametrize("command", ["kernel", "theorem", "trace", "verify", "special-points"])
+def test_unexpected_exception_is_one_internal_error_line(capsys, monkeypatch, tmp_path, command):
+    # a bug in a handler exits with the internal-error code, never with
+    # verify's FAIL (1) and never with a traceback
+    def broken(args):
+        raise RuntimeError("handler broke\n  on two lines")
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), broken)
+    argv = {
+        "kernel": ["kernel", "--steps", "3"],
+        "theorem": ["theorem", "--tag", "T35"],
+        "trace": ["trace", "--region", "D2", "--range", "1.2:1.4", "--steps", "2"],
+        "verify": ["verify", str(tmp_path / "ring.json")],
+        "special-points": ["special-points"],
+    }[command]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (cli.INTERNAL_ERROR, "")
+    assert cli.INTERNAL_ERROR == 6
+    assert err == "error: internal error: RuntimeError: handler broke on two lines\n"
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_theorem", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["theorem", "--tag", "T35"])
+
+
 def test_out_into_missing_directory_is_an_io_error(capsys, tmp_path):
     out = tmp_path / "missing" / "x.csv"
     code, stdout, err = run_cli(capsys, ["kernel", "--steps", "7", "--out", str(out)])
@@ -1181,7 +1211,8 @@ if sys.argv[1:]:
         rc = main(sys.argv[1:])
 print(json.dumps([rc, "numpy" in sys.modules,
                   [m for m in ("dataclasses", "inspect", "coorbital.floattext")
-                   if m in sys.modules]]))
+                   if m in sys.modules],
+                  "coorbital.interval" in sys.modules]))
 """
 
 
@@ -1222,16 +1253,19 @@ def test_only_array_paths_import_numpy(tmp_path, argv, rc, loads_numpy):
     # The short subcommands start without numpy, which is most of their
     # start-up, without dataclasses or the inspect module it pulls in
     # (numpy imports inspect itself) and without the float-block
-    # formatter; the array paths must still be the ones taken.
+    # formatter; the array paths must still be the ones taken. Only the
+    # case solvers and the catalog load the interval enclosures.
+    loads_interval = argv[:1] in (["theorem"], ["special-points"])
     if argv[:1] == ["verify"]:
         argv = ["verify", write_config(tmp_path, *_probe_ring(*argv[1:]))]
     out = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    got_rc, loaded, heavy = json.loads(out.stdout)
+    got_rc, loaded, heavy, interval = json.loads(out.stdout)
     assert got_rc == rc
     assert loaded is loads_numpy
+    assert interval is loads_interval
     if not loads_numpy:
         assert heavy == []
 
